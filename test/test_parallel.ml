@@ -16,6 +16,11 @@
     - [PL009]: exchange shape legality (degree, serial pass-through,
       mismatched partition counts, partitioned scans inside subquery
       plans).
+    - Two-phase aggregation: a hand-built hash aggregate equals its
+      [Final_agg(Exchange(Partial_agg))] split at DOP {1, 2, 4} in rows
+      (against the serial plan) and meters (against {!Exec.Baseline}),
+      keyed and keyless, including an exchange with every partition
+      pruned.
     - Unit coverage for {!Planner.Access_path.derive_prune},
       {!Exec.Prune.survivors}, and the {!Planner.Parallel.apply}
       rewrite shapes (exchange over a chain, two-phase aggregation,
@@ -385,6 +390,89 @@ let test_exchange_engine_stats () =
   Alcotest.(check bool) "pruned rows identical to unpruned" true
     (rows_of rows = exec_rows db4 (pscan filter P.Pr_none))
 
+(* ------------------------------------------------------------------ *)
+(* Two-phase aggregation                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A hand-built hash aggregate against its two-phase split,
+   Final_agg(Exchange(Partial_agg)), at dop 1, 2 and 4: every aggregate
+   function over a nullable argument, keyed and keyless, and over an
+   exchange whose every partition is pruned away ([mid_id = NULL]).
+   Rows must equal the serial plan's, meters must equal the baseline
+   engine's on the same parallel plan. The keyless, all-pruned case
+   pins the combine of zero partial rows: COUNTs 0, everything else
+   NULL. *)
+let test_two_phase_agg () =
+  (* [m1] where [code < 100], NULL elsewhere *)
+  let arg =
+    Some
+      (A.Case
+         ([ (A.Cmp (A.Lt, fcol "code", A.Const (V.Int 100)), fcol "m1") ], None))
+  in
+  let aggs =
+    [
+      ("n", A.Count_star, None, false);
+      ("c", A.Count, arg, false);
+      ("s", A.Sum, arg, false);
+      ("lo", A.Min, arg, false);
+      ("hi", A.Max, arg, false);
+      ("av", A.Avg, arg, false);
+    ]
+  in
+  let agg keys filter =
+    P.Aggregate
+      {
+        child = P.Table_scan { table = fact; alias = "f"; filter };
+        strategy = `Hash;
+        alias = "g";
+        keys;
+        aggs;
+      }
+  in
+  let keyed = [ (fcol "status_c", "k") ] in
+  let none = [ A.Cmp (A.Eq, fcol "mid_id", A.Const V.Null) ] in
+  let cases =
+    [
+      ("keyed", agg keyed [], false);
+      ("keyless", agg [] [], false);
+      ("keyed, all pruned", agg keyed none, true);
+      ("keyless, all pruned", agg [] none, true);
+    ]
+  in
+  List.iter
+    (fun (name, serial, pruned) ->
+      let ser = exec_rows db4 serial in
+      List.iter
+        (fun dop ->
+          let what = Printf.sprintf "%s, dop %d" name dop in
+          let pp = Par.apply cat4 ~dop:(Par.Fixed dop) serial in
+          (match pp with
+          | P.Final_agg
+              { child = P.Exchange { child = P.Partial_agg _; _ }; _ } ->
+              ()
+          | p -> Alcotest.failf "%s: not split: %s" what (P.to_string p));
+          let es = Exec.Executor.engine_stats_create () in
+          let _, rows, m = Exec.Executor.execute ~engine_stats:es db4 pp in
+          let _, _, bm = Exec.Baseline.execute db4 pp in
+          Alcotest.(check bool) (what ^ ": rows equal serial") true
+            (rows_of rows = ser);
+          Alcotest.(check (list (pair string int)))
+            (what ^ ": meter equals baseline") (M.to_fields bm) (M.to_fields m);
+          if pruned then
+            Alcotest.(check int) (what ^ ": no partition scanned") 0
+              es.Exec.Executor.es_parts_scanned)
+        [ 1; 2; 4 ])
+    cases;
+  (* the aggregates must see NULLs, or the cases prove little: some
+     group counts fewer arguments than rows *)
+  Alcotest.(check bool) "some argument is NULL" true
+    (List.exists
+       (function _ :: n :: c :: _ -> n <> c | _ -> false)
+       (exec_rows db4 (agg keyed [])));
+  Alcotest.(check bool) "keyless all-pruned row" true
+    (exec_rows db4 (agg [] none)
+    = [ [ V.Int 0; V.Int 0; V.Null; V.Null; V.Null; V.Null ] ])
+
 let () =
   Alcotest.run "parallel"
     [
@@ -414,5 +502,7 @@ let () =
             test_apply_shapes;
           Alcotest.test_case "exchange engine stats" `Quick
             test_exchange_engine_stats;
+          Alcotest.test_case "two-phase aggregation" `Quick
+            test_two_phase_agg;
         ] );
     ]
