@@ -31,6 +31,14 @@
     Oracle's semijoin/antijoin and subquery-filter caches
     (Section 2.1.1).
 
+    Each operator family has one kernel, so every node and code path
+    that runs it charges the same units: one slice-scan loop
+    ([scan_into]) behind table, partition and index scans and the
+    nested-loop leaf path, with one B-tree probe ([probe_rowids]); one
+    join-candidate test ([join_cand]) behind every join method and
+    role; and one group-by fold ([group_fold]) behind [Aggregate],
+    [Partial_agg] and [Final_agg].
+
     All data movement is charged to the context's {!Meter}; the meter's
     weighted total is the reproduction's notion of execution time.
     Charges are accounted {e identically} to the list-at-a-time
@@ -317,103 +325,351 @@ let compile_jtest ~meter ~binds ~(left : layout) ~(right : layout) scopes
               (function F_fast2 f -> f l r | F_slow2 g -> g rows = Some true)
               steps)
 
+(* The join-candidate test, shared by every join method and role:
+   charges one [rows_joined] and tests the condition on left row [l]
+   and candidate [r]. When [keep], a survivor's combined row is pushed
+   to [out]; it is built once, by the test itself for a generic
+   condition and otherwise only for survivors, so the reject path
+   allocates nothing the condition does not need. *)
+let join_cand (meter : Meter.t) jt ~keep out l r orows =
+  meter.rows_joined <- meter.rows_joined + 1;
+  match jt with
+  | J_triv ->
+      if keep then Vec.push out (Array.append l r);
+      true
+  | J_pair f ->
+      f l r
+      && begin
+           if keep then Vec.push out (Array.append l r);
+           true
+         end
+  | J_gen f ->
+      let j = Array.append l r in
+      f l r j orows
+      && begin
+           if keep then Vec.push out j;
+           true
+         end
+
+(* Test every candidate [cands.(lo) .. cands.(hi - 1)] of [l]: does
+   any survive? Every candidate is charged and (for generic
+   conditions, which may call expensive functions) evaluated, as the
+   list engine's filter did. *)
+let join_cands meter jt ~keep out l orows cands lo hi =
+  let matched = ref false in
+  for i = lo to hi - 1 do
+    if join_cand meter jt ~keep out l (Array.unsafe_get cands i) orows then
+      matched := true
+  done;
+  !matched
+
+(* NOT IN semantics: a candidate is a possible match unless some
+   conjunct of the full condition is definitely false under 3VL. *)
+let possible_match (meter : Meter.t) fconds3 l orows r =
+  meter.rows_joined <- meter.rows_joined + 1;
+  let j = Array.append l r in
+  not (List.exists (fun f -> f (j :: orows) = Some false) fconds3)
+
+(* Output of left row [l] against its candidates for a role that tests
+   every candidate: inner and outer push each survivor's combined row,
+   outer a NULL-extended row when none survives; semi and anti push
+   [l] on some / no match. The null-aware antijoin has its own
+   possible-match test. *)
+let join_row meter jt role ~right_width out l orows cands lo hi =
+  match role with
+  | Plan.Inner -> ignore (join_cands meter jt ~keep:true out l orows cands lo hi)
+  | Plan.Left_outer ->
+      if not (join_cands meter jt ~keep:true out l orows cands lo hi) then
+        Vec.push out (Array.append l (Array.make right_width Value.Null))
+  | Plan.Semi | Plan.Anti ->
+      if
+        join_cands meter jt ~keep:false out l orows cands lo hi
+        = (role = Plan.Semi)
+      then Vec.push out l
+  | Plan.Anti_na -> invalid_arg "Executor: null-aware antijoin has no join_row"
+
 (* --------------------------------------------------------------- *)
-(* The interpreter                                                   *)
+(* Scans                                                             *)
 (* --------------------------------------------------------------- *)
+
+(* One B-tree probe, shared by the index-scan cursor and the
+   nested-loop leaf path: prefix and range bounds are evaluated under
+   the correlation rows, the tree height is charged to [idx_probes],
+   and every entry a range walk touches and every rowid returned to
+   [idx_entries]. A NULL in the prefix matches nothing. *)
+let probe_rowids (ctx : ctx) scopes ~table ~index ~prefix ~lo ~hi :
+    row list -> int list =
+  let meter = ctx.meter in
+  let binds = ctx.binds in
+  let bt = Db.index ctx.db ~table ~name:index in
+  let fprefix = List.map (Eval.compile_expr ~meter ~binds scopes) prefix in
+  let bound = function
+    | Plan.R_unbounded -> fun _ -> Btree.Unbounded
+    | Plan.R_incl e ->
+        let f = Eval.compile_expr ~meter ~binds scopes e in
+        fun orows -> Btree.Incl (f orows)
+    | Plan.R_excl e ->
+        let f = Eval.compile_expr ~meter ~binds scopes e in
+        fun orows -> Btree.Excl (f orows)
+  in
+  let flo = bound lo and fhi = bound hi in
+  let full_key_eq = List.length prefix = List.length bt.Btree.bt_cols in
+  fun orows ->
+    let pvals = List.map (fun f -> f orows) fprefix in
+    meter.idx_probes <- meter.idx_probes + Btree.height bt;
+    let ids =
+      if List.exists Value.is_null pvals && pvals <> [] then []
+      else if full_key_eq then Btree.find_eq bt pvals
+      else
+        match (flo orows, fhi orows) with
+        | Btree.Unbounded, Btree.Unbounded when pvals <> [] ->
+            Btree.find_prefix bt pvals
+        | lo, hi ->
+            let ids, touched = Btree.range bt ~prefix:pvals ~lo ~hi in
+            meter.idx_entries <- meter.idx_entries + touched;
+            ids
+    in
+    meter.idx_entries <- meter.idx_entries + List.length ids;
+    ids
+
+(* A scan leaf as input to the one scan kernel: its compiled filter,
+   and a per-open function that charges the node's own access cost and
+   returns the rows to read as ascending [lo, hi) slices of an array.
+   A table scan is the single slice [0, n) of the heap at
+   [Relation.pages]. A partition scan is the slices of its surviving
+   partitions at the sum of their [part_pages] — partitions being
+   contiguous ascending slices of [r_rows], an unpruned partition scan
+   reads exactly the rows of a table scan, in the same order. An index
+   scan is the single slice over the rows its probe returned. *)
+let scan_leaf (ctx : ctx) scopes (p : Plan.t) :
+    (row -> row list -> bool) * (row list -> row array * (int * int) array)
+    =
+  let meter = ctx.meter in
+  let binds = ctx.binds in
+  let filter_of filter =
+    compile_filter ~meter ~binds (Plan.layout p ctx.db.Db.cat) scopes filter
+  in
+  match p with
+  | Plan.Table_scan { table; alias = _; filter } ->
+      let rel = Db.relation ctx.db table in
+      let rows = rel.Relation.r_rows in
+      let whole = (rows, [| (0, Array.length rows) |]) in
+      ( filter_of filter,
+        fun _ ->
+          meter.pages_read <- meter.pages_read + Relation.pages rel;
+          whole )
+  | Plan.Part_scan { table; alias = _; filter; prune } ->
+      let rel = Db.relation ctx.db table in
+      let spec =
+        match Relation.part rel with
+        | Some pt -> pt.Relation.p_spec
+        | None ->
+            invalid_arg
+              (Printf.sprintf "Executor: PART SCAN over unpartitioned %s"
+                 table)
+      in
+      ( filter_of filter,
+        fun _ ->
+          (* pruning happens here, against the actual binds of this
+             execution — never against plan-time values *)
+          let surv = Prune.survivors_runtime ~binds spec prune in
+          let surv =
+            match ctx.restrict with
+            | None ->
+                (* a top-level (non-exchange) scan accounts its pruning
+                   outcome; under an exchange the Exchange node accounts
+                   it once per execution, not once per task *)
+                count_parts ctx.estats ~scanned:(List.length surv)
+                  ~pruned:(spec.Catalog.ps_n - List.length surv);
+                surv
+            | Some i -> if List.mem i surv then [ i ] else []
+          in
+          List.iter
+            (fun i ->
+              meter.pages_read <- meter.pages_read + Relation.part_pages rel i)
+            surv;
+          ( rel.Relation.r_rows,
+            Array.of_list (List.map (Relation.part_bounds rel) surv) ) )
+  | Plan.Index_scan { table; alias = _; index; prefix; lo; hi; filter } ->
+      let rel = Db.relation ctx.db table in
+      let probe = probe_rowids ctx scopes ~table ~index ~prefix ~lo ~hi in
+      ( filter_of filter,
+        fun orows ->
+          let heap = rel.Relation.r_rows in
+          let ids = probe orows in
+          let rows = Array.make (List.length ids) [||] in
+          List.iteri (fun i rid -> Array.unsafe_set rows i heap.(rid)) ids;
+          (rows, [| (0, Array.length rows) |]) )
+  | _ -> invalid_arg "Executor.scan_leaf: not a scan"
+
+(* The scan kernel: read [rows.(pos) .. rows.(hi - 1)] in order while
+   [out] has room, adding each row that passes [ftest]. Charges
+   [rows_scanned] per row read; returns the next position to read. *)
+let scan_into (meter : Meter.t) ftest orows (rows : row array) pos hi
+    (out : B.t) =
+  let cap = Array.length out.B.data in
+  let p = ref pos in
+  while !p < hi && out.B.len < cap do
+    let tup = Array.unsafe_get rows !p in
+    incr p;
+    if ftest tup orows then B.add out tup
+  done;
+  meter.rows_scanned <- meter.rows_scanned + (!p - pos);
+  !p
+
+(* A scan leaf as a cursor: per open the leaf's slices, per next the
+   scan kernel across them until the block fills. *)
+let scan_cursor (ctx : ctx) (ftest, slices_of) : cursor =
+  let out = B.create ctx.size in
+  let rows = ref [||] and slices = ref [||] in
+  let si = ref 0 and pos = ref 0 in
+  let orows_r = ref [] in
+  let c_open orows =
+    orows_r := orows;
+    let r, sl = slices_of orows in
+    rows := r;
+    slices := sl;
+    si := 0;
+    pos := if Array.length sl > 0 then fst sl.(0) else 0
+  in
+  let c_next () =
+    B.clear out;
+    let sl = !slices in
+    let ns = Array.length sl in
+    while !si < ns && not (B.is_full out) do
+      let hi = snd sl.(!si) in
+      pos := scan_into ctx.meter ftest !orows_r !rows !pos hi out;
+      if !pos >= hi then begin
+        incr si;
+        if !si < ns then pos := fst sl.(!si)
+      end
+    done;
+    if out.B.len = 0 then None else Some out
+  in
+  {
+    c_open;
+    c_next;
+    c_close =
+      (fun () ->
+        rows := [||];
+        slices := [||]);
+  }
 
 (* Direct evaluator for a leaf plan (bare table or index scan),
    yielding the scan's surviving rows as one array. Nested-loop inner
    sides re-open their cursor once per uncached outer row; when the
    inner side is a leaf, the block machinery (batch fills, the pending
    vector of [drain], the final copy to an array) is pure overhead on
-   a result that is materialized into the cache anyway. The charges
-   are exactly those of the cursor path: pages / probes / entries per
-   open, [rows_scanned] per row read, [rows_out] per row surviving.
-   Analyze mode keeps the generic path so the leaf node still records
-   its own per-node calls and rows. *)
+   a result that is materialized into the cache anyway. The same scan
+   kernel runs into one buffer sized for every slice, so the charges
+   are exactly those of the cursor path, plus the [rows_out] the
+   cursor wrapper would have charged. Analyze mode keeps the generic
+   path so the leaf node still records its own per-node calls and
+   rows. *)
 let leaf_rows (ctx : ctx) (scopes : layout list) (p : Plan.t) :
     (row list -> row array) option =
-  let meter = ctx.meter in
-  let binds = ctx.binds in
   match (ctx.analyze, p) with
-  | Some _, _ -> None
-  | None, Plan.Table_scan { table; alias = _; filter } ->
-      let rel = Db.relation ctx.db table in
-      let self_layout = Plan.layout p ctx.db.Db.cat in
-      let ftest = compile_filter ~meter ~binds self_layout scopes filter in
+  | None, (Plan.Table_scan _ | Plan.Index_scan _) ->
+      let ftest, slices_of = scan_leaf ctx scopes p in
+      let meter = ctx.meter in
       Some
         (fun orows ->
-          meter.pages_read <- meter.pages_read + Relation.pages rel;
-          let rows = rel.Relation.r_rows in
-          let n = Array.length rows in
-          meter.rows_scanned <- meter.rows_scanned + n;
-          if n = 0 then [||]
-          else begin
-            let buf = Array.make n (Array.unsafe_get rows 0) in
-            let k = ref 0 in
-            for i = 0 to n - 1 do
-              let tup = Array.unsafe_get rows i in
-              if ftest tup orows then begin
-                Array.unsafe_set buf !k tup;
-                incr k
-              end
-            done;
-            meter.rows_out <- meter.rows_out + !k;
-            if !k = n then buf else Array.sub buf 0 !k
-          end)
-  | None, Plan.Index_scan { table; alias = _; index; prefix; lo; hi; filter }
-    ->
-      let rel = Db.relation ctx.db table in
-      let bt = Db.index ctx.db ~table ~name:index in
-      let fprefix = List.map (Eval.compile_expr ~meter ~binds scopes) prefix in
-      let bound = function
-        | Plan.R_unbounded -> fun _ -> Btree.Unbounded
-        | Plan.R_incl e ->
-            let f = Eval.compile_expr ~meter ~binds scopes e in
-            fun orows -> Btree.Incl (f orows)
-        | Plan.R_excl e ->
-            let f = Eval.compile_expr ~meter ~binds scopes e in
-            fun orows -> Btree.Excl (f orows)
+          let rows, slices = slices_of orows in
+          let n = Array.fold_left (fun n (lo, hi) -> n + hi - lo) 0 slices in
+          let out = { B.data = Array.make n [||]; len = 0 } in
+          Array.iter
+            (fun (lo, hi) -> ignore (scan_into meter ftest orows rows lo hi out))
+            slices;
+          meter.rows_out <- meter.rows_out + out.B.len;
+          if out.B.len = n then out.B.data else Array.sub out.B.data 0 out.B.len)
+  | _ -> None
+
+(* --------------------------------------------------------------- *)
+(* Aggregation                                                       *)
+(* --------------------------------------------------------------- *)
+
+(* The one group-by fold, behind [Aggregate], [Partial_agg] and
+   [Final_agg]. Input rows are grouped by [key] in first-seen order,
+   and each group owns [naccs] accumulators that [step] folds a row
+   into; [emit] renders a group from its key, its row count and its
+   accumulators. A keyless fold ([key = None]) is one implicit group
+   that exists even on empty input — the scalar-aggregate convention,
+   and what gives every exchange task exactly one partial state row —
+   and skips the hash table: aggregates on nested-loop inner sides and
+   in TIS subquery plans run once per outer row over tiny inputs, so
+   the per-execution constant matters. For the same reason the group
+   table lives at prepare time and is cleared per execution. Charges
+   [agg_rows] per input row and, when [sorted], the sort of the
+   input. *)
+let group_fold (ctx : ctx) cchild ~key ~naccs ~sorted ~step ~emit =
+  let meter = ctx.meter in
+  let fresh kv = (kv, ref 0, List.init naccs (fun _ -> acc_create ())) in
+  let table = Hkey.create 16 in
+  breaker (fun orows ->
+      let groups = ref [] in
+      let group =
+        match key with
+        | None ->
+            let g = fresh [] in
+            groups := [ g ];
+            fun _ -> g
+        | Some fkey ->
+            Hkey.reset table;
+            fun r ->
+              let kv = fkey r orows in
+              match Hkey.find_opt table kv with
+              | Some g -> g
+              | None ->
+                  let g = fresh kv in
+                  Hkey.add table kv g;
+                  groups := g :: !groups;
+                  g
       in
-      let flo = bound lo and fhi = bound hi in
-      let self_layout = Plan.layout p ctx.db.Db.cat in
-      let ftest = compile_filter ~meter ~binds self_layout scopes filter in
-      let full_key_eq = List.length prefix = List.length bt.Btree.bt_cols in
-      Some
-        (fun orows ->
-          let pvals = List.map (fun f -> f orows) fprefix in
-          meter.idx_probes <- meter.idx_probes + Btree.height bt;
-          let ids =
-            if List.exists Value.is_null pvals && pvals <> [] then []
-            else if full_key_eq then Btree.find_eq bt pvals
-            else
-              match (flo orows, fhi orows) with
-              | Btree.Unbounded, Btree.Unbounded when pvals <> [] ->
-                  Btree.find_prefix bt pvals
-              | lo, hi ->
-                  let ids, touched = Btree.range bt ~prefix:pvals ~lo ~hi in
-                  meter.idx_entries <- meter.idx_entries + touched;
-                  ids
-          in
-          let n = List.length ids in
-          meter.idx_entries <- meter.idx_entries + n;
-          meter.rows_scanned <- meter.rows_scanned + n;
-          if n = 0 then [||]
-          else begin
-            let buf = Array.make n rel.Relation.r_rows.(List.hd ids) in
-            let k = ref 0 in
-            List.iter
-              (fun rid ->
-                let tup = Array.unsafe_get rel.Relation.r_rows rid in
-                if ftest tup orows then begin
-                  Array.unsafe_set buf !k tup;
-                  incr k
-                end)
-              ids;
-            meter.rows_out <- meter.rows_out + !k;
-            if !k = n then buf else Array.sub buf 0 !k
-          end)
-  | None, _ -> None
+      let nin = ref 0 in
+      iter_rows cchild orows (fun r ->
+          incr nin;
+          meter.agg_rows <- meter.agg_rows + 1;
+          let _, n, accs = group r in
+          incr n;
+          step orows r accs);
+      if sorted then charge_sort ctx !nin;
+      let result = Vec.create ~cap:(max 1 (Hkey.length table)) () in
+      List.iter
+        (fun (kv, n, accs) -> Vec.push result (emit kv !n accs))
+        (List.rev !groups);
+      result)
+
+(* A [Partial_agg] group's state columns for one aggregate: Avg
+   decomposes into running sum + non-null count, the only
+   decomposition that recombines exactly (see
+   {!Plan.partial_state_cols}). *)
+let partial_state nrows (a : A.agg) acc =
+  match a with
+  | A.Count_star -> [ Value.Int nrows ]
+  | A.Count -> [ Value.Int acc.a_count ]
+  | A.Sum -> [ acc.a_sum ]
+  | A.Min -> [ acc.a_min ]
+  | A.Max -> [ acc.a_max ]
+  | A.Avg -> [ acc.a_sum; Value.Int acc.a_count ]
+
+(* Fold one aggregate's state column(s), at position [p] of a
+   [Partial_agg] row, into [acc]: counts add up into [a_count], and
+   sums, minima and maxima merge by [acc_add]'s own update rules. The
+   combined accumulator then finishes through [acc_result] with
+   [rows_in_group = a_count]. *)
+let combine_state acc (a : A.agg) (r : row) p =
+  let count_of = function Value.Int n -> n | _ -> 0 in
+  match a with
+  | A.Count_star | A.Count -> acc.a_count <- acc.a_count + count_of r.(p)
+  | A.Sum | A.Min | A.Max -> acc_add false acc r.(p)
+  | A.Avg ->
+      let n = acc.a_count in
+      acc_add false acc r.(p);
+      acc.a_count <- n + count_of r.(p + 1)
+
+(* --------------------------------------------------------------- *)
+(* The interpreter                                                   *)
+(* --------------------------------------------------------------- *)
 
 (** Compile [p] under correlation scopes [scopes] into a cursor. Every
     cursor is wrapped to charge emitted block lengths to [rows_out] —
@@ -476,178 +732,13 @@ and prepare_node (ctx : ctx) (scopes : layout list) (p : Plan.t) : cursor =
   let size = ctx.size in
   let self_layout = Plan.layout p cat in
   match p with
-  | Plan.Table_scan { table; alias = _; filter } ->
+  | Plan.Table_scan _ | Plan.Part_scan _ | Plan.Index_scan _ ->
       (* reaching this branch means the vectorized engine declined the
-         pipeline above this scan (or mode Row): one row choice *)
+         pipeline above this scan (or mode Row; index scans always run
+         the row path): one row choice *)
       dispatch_row ctx.estats;
-      let rel = Db.relation ctx.db table in
-      let ftest = compile_filter ~meter ~binds self_layout scopes filter in
-      let out = B.create size in
-      let pos = ref 0 in
-      let orows_r = ref [] in
-      let c_open orows =
-        orows_r := orows;
-        pos := 0;
-        meter.pages_read <- meter.pages_read + Relation.pages rel
-      in
-      let c_next () =
-        let rows = rel.Relation.r_rows in
-        let n = Array.length rows in
-        if !pos >= n then None
-        else begin
-          B.clear out;
-          let orows = !orows_r in
-          while (not (B.is_full out)) && !pos < n do
-            let tup = rows.(!pos) in
-            incr pos;
-            meter.rows_scanned <- meter.rows_scanned + 1;
-            if ftest tup orows then B.add out tup
-          done;
-          if out.B.len = 0 then None else Some out
-        end
-      in
-      { c_open; c_next; c_close = (fun () -> ()) }
-  | Plan.Part_scan { table; alias = _; filter; prune } ->
-      (* partitioned full scan: ascending partition order over the
-         surviving partitions — which, partitions being contiguous
-         ascending slices of [r_rows], is the heap's physical order, so
-         an unpruned PART SCAN emits exactly the rows a TABLE SCAN
-         would, in the same order. Pages are charged as the sum of
-         per-partition ceilings of the partitions actually read. *)
-      dispatch_row ctx.estats;
-      let rel = Db.relation ctx.db table in
-      let spec =
-        match Relation.part rel with
-        | Some pt -> pt.Relation.p_spec
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Executor: PART SCAN over unpartitioned %s"
-                 table)
-      in
-      let ftest = compile_filter ~meter ~binds self_layout scopes filter in
-      let out = B.create size in
-      let slices = ref [||] in
-      let si = ref 0 in
-      let pos = ref 0 in
-      let orows_r = ref [] in
-      let c_open orows =
-        orows_r := orows;
-        (* pruning happens here, against the actual binds of this
-           execution — never against plan-time values *)
-        let surv = Prune.survivors_runtime ~binds spec prune in
-        let surv =
-          match ctx.restrict with
-          | None ->
-              (* a top-level (non-exchange) scan accounts its pruning
-                 outcome; under an exchange the Exchange node accounts
-                 it once per execution, not once per task *)
-              count_parts ctx.estats ~scanned:(List.length surv)
-                ~pruned:(spec.Catalog.ps_n - List.length surv);
-              surv
-          | Some i -> if List.mem i surv then [ i ] else []
-        in
-        List.iter
-          (fun i ->
-            meter.pages_read <- meter.pages_read + Relation.part_pages rel i)
-          surv;
-        slices := Array.of_list (List.map (Relation.part_bounds rel) surv);
-        si := 0;
-        pos := (if Array.length !slices > 0 then fst !slices.(0) else 0)
-      in
-      let c_next () =
-        let rows = rel.Relation.r_rows in
-        let sl = !slices in
-        let ns = Array.length sl in
-        if !si >= ns then None
-        else begin
-          B.clear out;
-          let orows = !orows_r in
-          let continue = ref true in
-          while !continue && not (B.is_full out) do
-            if !si >= ns then continue := false
-            else begin
-              let _, hi = sl.(!si) in
-              if !pos >= hi then begin
-                incr si;
-                if !si < ns then pos := fst sl.(!si) else continue := false
-              end
-              else begin
-                let tup = rows.(!pos) in
-                incr pos;
-                meter.rows_scanned <- meter.rows_scanned + 1;
-                if ftest tup orows then B.add out tup
-              end
-            end
-          done;
-          if out.B.len = 0 then None else Some out
-        end
-      in
-      { c_open; c_next; c_close = (fun () -> ()) }
+      scan_cursor ctx (scan_leaf ctx scopes p)
   | Plan.Exchange { child; dop } -> prepare_exchange ctx scopes child dop
-  | Plan.Partial_agg { child; alias = _; keys; aggs } ->
-      prepare_partial_agg ctx scopes child keys aggs
-  | Plan.Final_agg { child; alias = _; keys; aggs } ->
-      prepare_final_agg ctx scopes child keys aggs
-  | Plan.Index_scan { table; alias = _; index; prefix; lo; hi; filter } ->
-      (* index scans always run the row path: one row choice *)
-      dispatch_row ctx.estats;
-      let rel = Db.relation ctx.db table in
-      let bt = Db.index ctx.db ~table ~name:index in
-      let fprefix = List.map (Eval.compile_expr ~meter ~binds scopes) prefix in
-      let bound = function
-        | Plan.R_unbounded -> fun _ -> Btree.Unbounded
-        | Plan.R_incl e ->
-            let f = Eval.compile_expr ~meter ~binds scopes e in
-            fun orows -> Btree.Incl (f orows)
-        | Plan.R_excl e ->
-            let f = Eval.compile_expr ~meter ~binds scopes e in
-            fun orows -> Btree.Excl (f orows)
-      in
-      let flo = bound lo and fhi = bound hi in
-      let ftest = compile_filter ~meter ~binds self_layout scopes filter in
-      let full_key_eq = List.length prefix = List.length bt.Btree.bt_cols in
-      let out = B.create size in
-      let rowids = ref [||] in
-      let pos = ref 0 in
-      let orows_r = ref [] in
-      let c_open orows =
-        orows_r := orows;
-        pos := 0;
-        let pvals = List.map (fun f -> f orows) fprefix in
-        meter.idx_probes <- meter.idx_probes + Btree.height bt;
-        let ids =
-          if List.exists Value.is_null pvals && pvals <> [] then []
-          else if full_key_eq then Btree.find_eq bt pvals
-          else
-            match (flo orows, fhi orows) with
-            | Btree.Unbounded, Btree.Unbounded when pvals <> [] ->
-                Btree.find_prefix bt pvals
-            | lo, hi ->
-                let ids, touched = Btree.range bt ~prefix:pvals ~lo ~hi in
-                meter.idx_entries <- meter.idx_entries + touched;
-                ids
-        in
-        meter.idx_entries <- meter.idx_entries + List.length ids;
-        rowids := Array.of_list ids
-      in
-      let c_next () =
-        let ids = !rowids in
-        let n = Array.length ids in
-        if !pos >= n then None
-        else begin
-          B.clear out;
-          let orows = !orows_r in
-          while (not (B.is_full out)) && !pos < n do
-            let rid = ids.(!pos) in
-            incr pos;
-            meter.rows_scanned <- meter.rows_scanned + 1;
-            let tup = rel.Relation.r_rows.(rid) in
-            if ftest tup orows then B.add out tup
-          done;
-          if out.B.len = 0 then None else Some out
-        end
-      in
-      { c_open; c_next; c_close = (fun () -> rowids := [||]) }
   | Plan.Filter { child; preds } ->
       let cchild = prepare ctx scopes child in
       let ftest = compile_filter ~meter ~binds self_layout scopes preds in
@@ -685,7 +776,51 @@ and prepare_node (ctx : ctx) (scopes : layout list) (p : Plan.t) : cursor =
   | Plan.Subq_filter { child; preds } ->
       prepare_subq_filter ctx scopes child preds
   | Plan.Aggregate { child; strategy; alias = _; keys; aggs } ->
-      prepare_aggregate ctx scopes child strategy keys aggs
+      prepare_aggregate ctx scopes child keys
+        (List.map (fun (_, _, eo, dist) -> (eo, dist)) aggs)
+        ~sorted:(strategy = `Sort)
+        ~finish:(fun n accs ->
+          List.map2
+            (fun (_, a, _, _) acc -> acc_result a acc ~rows_in_group:n)
+            aggs accs)
+  | Plan.Partial_agg { child; alias = _; keys; aggs } ->
+      (* per-partition aggregation: the [Aggregate] fold (hash
+         strategy, no DISTINCT), emitting accumulator-{e state} rows
+         instead of final values *)
+      prepare_aggregate ctx scopes child keys
+        (List.map (fun (_, _, eo) -> (eo, false)) aggs)
+        ~sorted:false
+        ~finish:(fun n accs ->
+          List.concat
+            (List.map2 (fun (_, a, _) acc -> partial_state n a acc) aggs accs))
+  | Plan.Final_agg { child; alias = _; keys; aggs } ->
+      (* combine [Partial_agg] state rows, grouped by the first
+         [nkeys] positions (the keys come through the partials
+         verbatim); partials arrive in ascending partition order, so
+         first-seen group order is the same at every dop *)
+      let nkeys = List.length keys in
+      let readers =
+        let pos = ref nkeys in
+        List.map
+          (fun (_, a) ->
+            let p = !pos in
+            pos := !pos + (match a with A.Avg -> 2 | _ -> 1);
+            (a, p))
+          aggs
+      in
+      group_fold ctx (prepare ctx scopes child)
+        ~key:
+          (if nkeys = 0 then None
+           else Some (fun r _ -> List.init nkeys (fun i -> r.(i))))
+        ~naccs:(List.length aggs) ~sorted:false
+        ~step:(fun _ r accs ->
+          List.iter2 (fun (a, p) acc -> combine_state acc a r p) readers accs)
+        ~emit:(fun kv _ accs ->
+          Array.of_list
+            (kv
+            @ List.map2
+                (fun (a, _) acc -> acc_result a acc ~rows_in_group:acc.a_count)
+                readers accs))
   | Plan.Window { child; alias = _; wins } -> prepare_window ctx scopes child wins
   | Plan.Distinct child ->
       let cchild = prepare ctx scopes child in
@@ -826,11 +961,35 @@ and prepare_join ctx scopes ~meth ~role ~left ~right ~cond =
   let size = ctx.size in
   let left_layout = Plan.layout left cat in
   let right_layout = Plan.layout right cat in
-  let combined = Array.append left_layout right_layout in
   let right_width = Array.length right_layout in
   let cleft = prepare ctx scopes left in
-  let aliases_of_layout l =
-    Array.fold_left (fun s (a, _) -> Walk.Sset.add a s) Walk.Sset.empty l
+  let jtest preds =
+    compile_jtest ~meter ~binds ~left:left_layout ~right:right_layout scopes
+      preds
+  in
+  (* 3VL per-conjunct evaluation of the full condition, for the
+     null-aware antijoin's possible-match check *)
+  let fconds3 =
+    match role with
+    | Plan.Anti_na ->
+        let combined = Array.append left_layout right_layout in
+        List.map (Eval.compile_pred ~meter ~binds (combined :: scopes)) cond
+    | _ -> []
+  in
+  (* hash and merge joins: equi-conjuncts become the keys, the rest the
+     residual candidate test *)
+  let equi what =
+    let aliases l =
+      Array.fold_left (fun s (a, _) -> Walk.Sset.add a s) Walk.Sset.empty l
+    in
+    let keys, residual =
+      equi_split (aliases left_layout) (aliases right_layout) cond
+    in
+    if keys = [] then
+      invalid_arg
+        (Printf.sprintf "Executor: %s join requires at least one equi-conjunct"
+           what);
+    (keys, jtest residual)
   in
   match meth with
   | Plan.Nested_loop ->
@@ -848,15 +1007,7 @@ and prepare_join ctx scopes ~meth ~role ~left ~right ~cond =
             fun orows -> Vec.to_array (drain cright orows)
       in
       let right_corr = Plan.corr_positions right left_layout in
-      let jcond =
-        compile_jtest ~meter ~binds ~left:left_layout ~right:right_layout
-          scopes cond
-      in
-      (* 3VL per-conjunct evaluation of the condition, for the
-         null-aware antijoin's possible-match check *)
-      let fconds3 =
-        List.map (Eval.compile_pred ~meter ~binds (combined :: scopes)) cond
-      in
+      let jcond = jtest cond in
       let right_cache : row array Hkey.t = Hkey.create 64 in
       let cached_right l orows =
         let key = Keys.corr meter right_corr l orows in
@@ -872,160 +1023,29 @@ and prepare_join ctx scopes ~meth ~role ~left ~right ~cond =
       expanding ~size cleft (fun orows l pending ->
           let rrows = cached_right l orows in
           let nr = Array.length rrows in
-          (* per candidate: charge, test the condition — via the
-             specialized pair test when no combined row is needed —
-             and, for inner/outer roles, append once per match *)
-          let joins r =
-            match jcond with
-            | J_triv -> true
-            | J_pair f -> f l r
-            | J_gen f ->
-                let j = Array.append l r in
-                f l r j orows
-          in
           match role with
-          | Plan.Inner ->
-              Array.iter
-                (fun r ->
-                  meter.rows_joined <- meter.rows_joined + 1;
-                  match jcond with
-                  | J_triv -> Vec.push pending (Array.append l r)
-                  | J_pair f ->
-                      if f l r then Vec.push pending (Array.append l r)
-                  | J_gen f ->
-                      let j = Array.append l r in
-                      if f l r j orows then Vec.push pending j)
-                rrows
-          | Plan.Left_outer ->
-              let matched = ref false in
-              Array.iter
-                (fun r ->
-                  meter.rows_joined <- meter.rows_joined + 1;
-                  match jcond with
-                  | J_triv ->
-                      matched := true;
-                      Vec.push pending (Array.append l r)
-                  | J_pair f ->
-                      if f l r then begin
-                        matched := true;
-                        Vec.push pending (Array.append l r)
-                      end
-                  | J_gen f ->
-                      let j = Array.append l r in
-                      if f l r j orows then begin
-                        matched := true;
-                        Vec.push pending j
-                      end)
-                rrows;
-              if not !matched then
-                Vec.push pending
-                  (Array.append l (Array.make right_width Value.Null))
-          | Plan.Semi ->
-              (* stop at first match *)
-              let rec go i =
-                if i >= nr then false
-                else begin
-                  meter.rows_joined <- meter.rows_joined + 1;
-                  if joins rrows.(i) then true else go (i + 1)
-                end
-              in
-              if go 0 then Vec.push pending l
-          | Plan.Anti ->
-              let rec go i =
-                if i >= nr then true
-                else begin
-                  meter.rows_joined <- meter.rows_joined + 1;
-                  if joins rrows.(i) then false else go (i + 1)
-                end
-              in
-              if go 0 then Vec.push pending l
+          | Plan.Semi | Plan.Anti ->
+              (* stop at the first match *)
+              let i = ref 0 in
+              while
+                !i < nr
+                && not
+                     (join_cand meter jcond ~keep:false pending l rrows.(!i)
+                        orows)
+              do
+                incr i
+              done;
+              if (!i < nr) = (role = Plan.Semi) then Vec.push pending l
           | Plan.Anti_na ->
               (* NOT IN semantics: qualify only if every right row
                  definitely mismatches *)
-              let rec go i =
-                if i >= nr then true
-                else begin
-                  meter.rows_joined <- meter.rows_joined + 1;
-                  let j = Array.append l rrows.(i) in
-                  if
-                    List.exists (fun f -> f (j :: orows) = Some false) fconds3
-                  then go (i + 1)
-                  else false
-                end
-              in
-              if go 0 then Vec.push pending l)
+              if not (Array.exists (possible_match meter fconds3 l orows) rrows)
+              then Vec.push pending l
+          | Plan.Inner | Plan.Left_outer ->
+              join_row meter jcond role ~right_width pending l orows rrows 0 nr)
   | Plan.Hash ->
       let cright = prepare ctx scopes right in
-      let lal = aliases_of_layout left_layout
-      and ral = aliases_of_layout right_layout in
-      let keys, residual = equi_split lal ral cond in
-      if keys = [] then
-        invalid_arg "Executor: hash join requires at least one equi-conjunct";
-      let flk =
-        compile_keys_list ~meter ~binds left_layout scopes (List.map fst keys)
-      in
-      let frk =
-        compile_keys_list ~meter ~binds right_layout scopes (List.map snd keys)
-      in
-      let jres =
-        compile_jtest ~meter ~binds ~left:left_layout ~right:right_layout
-          scopes residual
-      in
-      (* 3VL per-conjunct evaluation of the full condition, used by the
-         null-aware antijoin's possible-match check *)
-      let fconds3 =
-        List.map (Eval.compile_pred ~meter ~binds (combined :: scopes)) cond
-      in
-      (* Combined output rows of [l] joined to each candidate, residual
-         applied; the append happens once per surviving row, and not at
-         all when the specialized test rejects. Charges [rows_joined]
-         per candidate, exactly as the list engine's filter did. *)
-      let combine l orows cands =
-        match jres with
-        | J_triv ->
-            List.map
-              (fun r ->
-                meter.rows_joined <- meter.rows_joined + 1;
-                Array.append l r)
-              cands
-        | J_pair f ->
-            List.filter_map
-              (fun r ->
-                meter.rows_joined <- meter.rows_joined + 1;
-                if f l r then Some (Array.append l r) else None)
-              cands
-        | J_gen f ->
-            List.filter_map
-              (fun r ->
-                meter.rows_joined <- meter.rows_joined + 1;
-                let j = Array.append l r in
-                if f l r j orows then Some j else None)
-              cands
-      (* match existence for semi/anti roles: every candidate is still
-         charged and (for generic residuals, which may call expensive
-         functions) evaluated, as the list engine's filter did *)
-      and any_match l orows cands =
-        match jres with
-        | J_triv ->
-            List.iter
-              (fun _ -> meter.rows_joined <- meter.rows_joined + 1)
-              cands;
-            cands <> []
-        | J_pair f ->
-            List.fold_left
-              (fun acc r ->
-                meter.rows_joined <- meter.rows_joined + 1;
-                acc || f l r)
-              false cands
-        | J_gen f ->
-            List.fold_left
-              (fun acc r ->
-                meter.rows_joined <- meter.rows_joined + 1;
-                let j = Array.append l r in
-                let m = f l r j orows in
-                acc || m)
-              false cands
-      in
+      let keys, jres = equi "hash" in
       (* Bucketed build table. Single-column keys — the overwhelmingly
          common fk equi-join — go through the [Value.t]-keyed table;
          wider keys through the generic list-keyed one. Buckets are
@@ -1059,6 +1079,14 @@ and prepare_join ctx scopes ~meth ~role ~left ~right ~cond =
                     | None -> []),
                     false ) )
         | _ ->
+            let flk =
+              compile_keys_list ~meter ~binds left_layout scopes
+                (List.map fst keys)
+            in
+            let frk =
+              compile_keys_list ~meter ~binds right_layout scopes
+                (List.map snd keys)
+            in
             let tbl : row list ref Hkey.t = Hkey.create 256 in
             ( (fun () -> Hkey.reset tbl),
               (fun r orows ->
@@ -1102,160 +1130,84 @@ and prepare_join ctx scopes ~meth ~role ~left ~right ~cond =
       expanding ~size ~on_open:build cleft (fun orows l pending ->
           meter.hash_probe <- meter.hash_probe + 1;
           let cands, has_null = p_find l orows in
+          let cands = Array.of_list cands in
+          let nc = Array.length cands in
           match role with
-          | Plan.Inner ->
-              List.iter (fun j -> Vec.push pending j) (combine l orows cands)
-          | Plan.Left_outer -> (
-              match combine l orows cands with
-              | [] ->
-                  Vec.push pending
-                    (Array.append l (Array.make right_width Value.Null))
-              | ms -> List.iter (fun j -> Vec.push pending j) ms)
-          | Plan.Semi -> if any_match l orows cands then Vec.push pending l
-          | Plan.Anti ->
-              if not (any_match l orows cands) then Vec.push pending l
           | Plan.Anti_na ->
-              if !right_count = 0 then Vec.push pending l
-              else if any_match l orows cands then ()
-              else
-                (* NOT IN semantics: the left row is dropped unless
-                   every right row definitely mismatches. Candidate
-                   possible-matches: rows in the probe bucket (residual
-                   may have been UNKNOWN), null-key rows, and — when
-                   the probe key itself has NULLs — every right row.
-                   A candidate is a possible match if no conjunct of
-                   the full condition evaluates to definitely-false. *)
-                let candidates =
-                  if has_null then !right_all else cands @ !right_with_null
-                in
-                let possible =
-                  List.exists
-                    (fun r ->
-                      meter.rows_joined <- meter.rows_joined + 1;
-                      let j = Array.append l r in
-                      not
-                        (List.exists
-                           (fun f -> f (j :: orows) = Some false)
-                           fconds3))
-                    candidates
-                in
-                if not possible then Vec.push pending l)
+              (* NOT IN semantics: the left row is dropped unless every
+                 right row definitely mismatches. Candidate
+                 possible-matches: rows in the probe bucket (residual
+                 may have been UNKNOWN), null-key rows, and — when the
+                 probe key itself has NULLs — every right row. *)
+              if
+                !right_count = 0
+                || not
+                     (join_cands meter jres ~keep:false pending l orows cands 0
+                        nc
+                     || List.exists
+                          (possible_match meter fconds3 l orows)
+                          (if has_null then !right_all
+                           else Array.to_list cands @ !right_with_null))
+              then Vec.push pending l
+          | _ -> join_row meter jres role ~right_width pending l orows cands 0 nc)
   | Plan.Merge ->
       let cright = prepare ctx scopes right in
-      let lal = aliases_of_layout left_layout
-      and ral = aliases_of_layout right_layout in
-      let keys, residual = equi_split lal ral cond in
-      if keys = [] then
-        invalid_arg "Executor: merge join requires at least one equi-conjunct";
+      let keys, jres = equi "merge" in
+      (match role with
+      | Plan.Inner | Plan.Semi | Plan.Anti -> ()
+      | _ -> invalid_arg "Executor: merge join supports inner/semi/anti only");
       let flk =
         compile_keys_arr ~meter ~binds left_layout scopes (List.map fst keys)
       in
       let frk =
         compile_keys_arr ~meter ~binds right_layout scopes (List.map snd keys)
       in
-      let jres =
-        compile_jtest ~meter ~binds ~left:left_layout ~right:right_layout
-          scopes residual
-      in
       breaker (fun orows ->
           (* both inputs are pipeline breakers: materialize, decorate
              with key tuples computed once per row, sort, merge *)
-          let lv = drain cleft orows in
-          let rv = drain cright orows in
-          let deco v fk =
+          let deco c fk =
+            let v = drain c orows in
             Array.init (Vec.length v) (fun i ->
                 let r = Vec.get v i in
                 (fk r orows, r))
           in
-          let la = deco lv flk and ra = deco rv frk in
+          let la = deco cleft flk in
+          let ra = deco cright frk in
           charge_sort ctx (Array.length la);
           charge_sort ctx (Array.length ra);
           let cmpk (k1, _) (k2, _) = cmp_keys k1 k2 in
           Array.stable_sort cmpk la;
           Array.stable_sort cmpk ra;
+          let rrows = Array.map snd ra in
           let result = Vec.create () in
           let nl = Array.length la and nr = Array.length ra in
           let i = ref 0 and j = ref 0 in
-          (* two-pointer merge over the sorted runs *)
+          (* two-pointer merge over the sorted runs; a left row whose
+             key is NULL or below every remaining right key has no
+             candidates *)
           while !i < nl do
             let lk, l = la.(!i) in
-            if Array.exists Value.is_null lk then begin
-              (* null keys never match *)
-              (match role with Plan.Anti -> Vec.push result l | _ -> ());
+            let c =
+              if Array.exists Value.is_null lk || !j >= nr then -1
+              else cmp_keys lk (fst ra.(!j))
+            in
+            if c < 0 then begin
+              if role = Plan.Anti then Vec.push result l;
               incr i
             end
-            else if !j >= nr then begin
-              (match role with Plan.Anti -> Vec.push result l | _ -> ());
-              incr i
-            end
+            else if c > 0 then incr j
             else begin
-              let rk, _ = ra.(!j) in
-              let c = cmp_keys lk rk in
-              if c < 0 then begin
-                (match role with Plan.Anti -> Vec.push result l | _ -> ());
-                incr i
-              end
-              else if c > 0 then incr j
-              else begin
-                (* gather the right group with this key, then consume
-                   the run of left rows sharing it *)
-                let g_end = ref (!j + 1) in
-                while !g_end < nr && cmp_keys (fst ra.(!g_end)) rk = 0 do
-                  incr g_end
-                done;
-                let continue_left = ref true in
-                while !continue_left && !i < nl do
-                  let lk', l' = la.(!i) in
-                  if cmp_keys lk' rk = 0 then begin
-                    (match role with
-                    | Plan.Inner ->
-                        (* combined rows consed in descending group
-                           order, so the output comes out ascending;
-                           one append per surviving row *)
-                        let matches = ref [] in
-                        for g = !g_end - 1 downto !j do
-                          let _, r = ra.(g) in
-                          meter.rows_joined <- meter.rows_joined + 1;
-                          match jres with
-                          | J_triv -> matches := Array.append l' r :: !matches
-                          | J_pair f ->
-                              if f l' r then
-                                matches := Array.append l' r :: !matches
-                          | J_gen f ->
-                              let jr = Array.append l' r in
-                              if f l' r jr orows then matches := jr :: !matches
-                        done;
-                        List.iter (Vec.push result) !matches
-                    | Plan.Semi | Plan.Anti ->
-                        (* every candidate is charged and (for generic
-                           residuals) evaluated, as before *)
-                        let matched = ref false in
-                        for g = !g_end - 1 downto !j do
-                          let _, r = ra.(g) in
-                          meter.rows_joined <- meter.rows_joined + 1;
-                          let m =
-                            match jres with
-                            | J_triv -> true
-                            | J_pair f -> f l' r
-                            | J_gen f ->
-                                let jr = Array.append l' r in
-                                f l' r jr orows
-                          in
-                          if m then matched := true
-                        done;
-                        let keep =
-                          match role with Plan.Semi -> !matched | _ -> not !matched
-                        in
-                        if keep then Vec.push result l'
-                    | _ ->
-                        invalid_arg
-                          "Executor: merge join supports inner/semi/anti only");
-                    incr i
-                  end
-                  else continue_left := false
-                done;
+              (* the right group with this key is the candidate set of
+                 the run of left rows sharing it *)
+              let g0 = !j and rk = fst ra.(!j) in
+              while !j < nr && cmp_keys (fst ra.(!j)) rk = 0 do
                 incr j
-              end
+              done;
+              while !i < nl && cmp_keys (fst la.(!i)) rk = 0 do
+                join_row meter jres role ~right_width result (snd la.(!i))
+                  orows rrows g0 !j;
+                incr i
+              done
             end
           done;
           result)
@@ -1477,296 +1429,38 @@ and prepare_subq_filter ctx scopes child preds =
       if List.for_all (fun f -> f r orows = Some true) compiled then
         Vec.push out r)
 
-and prepare_aggregate ctx scopes child strategy keys aggs =
-  let cat = ctx.db.Db.cat in
+(* [Aggregate] and [Partial_agg]: group by key expressions over the
+   child row and fold each aggregate's argument, [(expr, distinct)],
+   with [acc_add]; [finish] renders a group's values after its key
+   columns. *)
+and prepare_aggregate ctx scopes child keys args ~sorted ~finish =
   let meter = ctx.meter in
   let binds = ctx.binds in
-  let child_layout = Plan.layout child cat in
+  let child_layout = Plan.layout child ctx.db.Db.cat in
   let cchild = prepare ctx scopes child in
-  let fkeys =
-    compile_keys_list ~meter ~binds child_layout scopes (List.map fst keys)
+  let key =
+    match keys with
+    | [] -> None
+    | _ ->
+        Some
+          (compile_keys_list ~meter ~binds child_layout scopes
+             (List.map fst keys))
   in
-  let faggs =
+  let fargs =
     List.map
-      (fun (_, a, eo, dist) ->
-        ( a,
-          Option.map (compile_scalar ~meter ~binds child_layout scopes) eo,
-          dist ))
-      aggs
+      (fun (eo, dist) ->
+        (Option.map (compile_scalar ~meter ~binds child_layout scopes) eo, dist))
+      args
   in
-  if keys = [] then
-    (* Scalar aggregate: exactly one output row, no group table.
-       Aggregates on nested-loop inner sides and in TIS subquery plans
-       run once per outer row with tiny inputs, so the per-execution
-       constant matters; charges (agg_rows, sort) are identical to the
-       grouped path over an empty key. *)
-    breaker (fun orows ->
-        let accs = List.map (fun _ -> acc_create ()) faggs in
-        let n = ref 0 in
-        iter_rows cchild orows (fun r ->
-            incr n;
-            meter.agg_rows <- meter.agg_rows + 1;
-            List.iter2
-              (fun (_, feo, dist) acc ->
-                match feo with
-                | None -> ()
-                | Some f -> acc_add dist acc (f r orows))
-              faggs accs);
-        (match strategy with
-        | `Sort -> charge_sort ctx !n
-        | `Hash -> ());
-        let result = Vec.create ~cap:1 () in
-        (if !n = 0 then
-           (* scalar aggregate over empty input: one row *)
-           Vec.push result
-             (Array.of_list
-                (List.map
-                   (fun (a, _, _) ->
-                     match a with
-                     | A.Count_star | A.Count -> Value.Int 0
-                     | _ -> Value.Null)
-                   faggs))
-         else
-           Vec.push result
-             (Array.of_list
-                (List.map2
-                   (fun (a, _, _) acc -> acc_result a acc ~rows_in_group:!n)
-                   faggs accs)));
-        result)
-  else begin
-  (* the group table lives at prepare time and is cleared per
-     execution: aggregates on nested-loop inner sides run once per
-     outer row, and a fresh table per run would dominate them *)
-  let groups = Hkey.create 16 in
-  breaker (fun orows ->
-      Hkey.reset groups;
-      let order = ref [] in
-      let nin = ref 0 in
-      iter_rows cchild orows (fun r ->
-          incr nin;
-          meter.agg_rows <- meter.agg_rows + 1;
-          let kv = fkeys r orows in
-          let entry =
-            match Hkey.find_opt groups kv with
-            | Some e -> e
-            | None ->
-                let e = (ref 0, List.map (fun _ -> acc_create ()) faggs) in
-                Hkey.add groups kv e;
-                order := kv :: !order;
-                e
-          in
-          let nrows, accs = entry in
-          incr nrows;
-          List.iter2
-            (fun (_, feo, dist) acc ->
-              match feo with
-              | None -> ()
-              | Some f -> acc_add dist acc (f r orows))
-            faggs accs);
-      (match strategy with
-      | `Sort -> charge_sort ctx !nin
-      | `Hash -> ());
-      let emit kv =
-        let nrows, accs = Hkey.find groups kv in
-        let aggvals =
-          List.map2
-            (fun (a, _, _) acc -> acc_result a acc ~rows_in_group:!nrows)
-            faggs accs
-        in
-        Array.of_list (kv @ aggvals)
-      in
-      let result = Vec.create () in
-      List.iter (fun kv -> Vec.push result (emit kv)) (List.rev !order);
-      result)
-  end
-
-(* Per-partition aggregation: the same fold as {!prepare_aggregate}
-   (hash strategy, no DISTINCT), but emitting accumulator-{e state}
-   rows instead of final values — group keys followed by one state
-   column per aggregate (Avg decomposes into running sum + non-null
-   count, the only decomposition that recombines exactly; see
-   {!Plan.partial_state_cols}). Charges [agg_rows] per input row,
-   exactly like [Aggregate]. A scalar (keyless) partial emits its one
-   state row even over empty input, so every exchange task contributes
-   exactly one row to the final combine. *)
-and prepare_partial_agg ctx scopes child keys aggs =
-  let cat = ctx.db.Db.cat in
-  let meter = ctx.meter in
-  let binds = ctx.binds in
-  let child_layout = Plan.layout child cat in
-  let cchild = prepare ctx scopes child in
-  let fkeys =
-    compile_keys_list ~meter ~binds child_layout scopes (List.map fst keys)
-  in
-  let faggs =
-    List.map
-      (fun (_, a, eo) ->
-        (a, Option.map (compile_scalar ~meter ~binds child_layout scopes) eo))
-      aggs
-  in
-  let fold_row orows faggs accs r =
-    List.iter2
-      (fun (_, feo) acc ->
-        match feo with
-        | None -> ()
-        | Some f -> acc_add false acc (f r orows))
-      faggs accs
-  in
-  let states_of nrows accs =
-    List.concat
-      (List.map2
-         (fun (a, _) acc ->
-           match a with
-           | A.Count_star -> [ Value.Int nrows ]
-           | A.Count -> [ Value.Int acc.a_count ]
-           | A.Sum -> [ acc.a_sum ]
-           | A.Min -> [ acc.a_min ]
-           | A.Max -> [ acc.a_max ]
-           | A.Avg -> [ acc.a_sum; Value.Int acc.a_count ])
-         faggs accs)
-  in
-  if keys = [] then
-    breaker (fun orows ->
-        let accs = List.map (fun _ -> acc_create ()) faggs in
-        let n = ref 0 in
-        iter_rows cchild orows (fun r ->
-            incr n;
-            meter.agg_rows <- meter.agg_rows + 1;
-            fold_row orows faggs accs r);
-        let result = Vec.create ~cap:1 () in
-        Vec.push result (Array.of_list (states_of !n accs));
-        result)
-  else begin
-    let groups = Hkey.create 16 in
-    breaker (fun orows ->
-        Hkey.reset groups;
-        let order = ref [] in
-        iter_rows cchild orows (fun r ->
-            meter.agg_rows <- meter.agg_rows + 1;
-            let kv = fkeys r orows in
-            let entry =
-              match Hkey.find_opt groups kv with
-              | Some e -> e
-              | None ->
-                  let e = (ref 0, List.map (fun _ -> acc_create ()) faggs) in
-                  Hkey.add groups kv e;
-                  order := kv :: !order;
-                  e
-            in
-            let nrows, accs = entry in
-            incr nrows;
-            fold_row orows faggs accs r);
-        let result = Vec.create () in
-        List.iter
-          (fun kv ->
-            let nrows, accs = Hkey.find groups kv in
-            Vec.push result (Array.of_list (kv @ states_of !nrows accs)))
-          (List.rev !order);
-        result)
-  end
-
-(* Combine {!Plan.Partial_agg} state rows into final aggregate values.
-   Groups by the first [nkeys] positions of the state layout (the keys
-   come through the partials verbatim), folds each aggregate's state
-   column(s) with the null-aware machinery, and emits groups in
-   first-seen order over the input stream — which, partials arriving in
-   ascending partition order, is deterministic at every dop. Charges
-   [agg_rows] per state row. *)
-and prepare_final_agg ctx scopes child keys aggs =
-  let meter = ctx.meter in
-  let cchild = prepare ctx scopes child in
-  let nkeys = List.length keys in
-  (* reader position of each aggregate's state in the child layout *)
-  let readers =
-    let pos = ref nkeys in
-    List.map
-      (fun (_, a) ->
-        let p = !pos in
-        (pos := !pos + (match a with A.Avg -> 2 | _ -> 1));
-        (a, p))
-      aggs
-  in
-  let int_of = function Value.Int n -> n | _ -> 0 in
-  let merge_sum acc v =
-    if not (Value.is_null v) then
-      acc.a_sum <-
-        (if Value.is_null acc.a_sum then v else Value.arith `Add acc.a_sum v)
-  in
-  let combine acc (a : A.agg) (r : row) (p : int) =
-    match a with
-    | A.Count_star | A.Count -> acc.a_count <- acc.a_count + int_of r.(p)
-    | A.Sum -> merge_sum acc r.(p)
-    | A.Min ->
-        let v = r.(p) in
-        if not (Value.is_null v) then
-          acc.a_min <-
-            (if Value.is_null acc.a_min || Value.compare_total v acc.a_min < 0
-             then v
-             else acc.a_min)
-    | A.Max ->
-        let v = r.(p) in
-        if not (Value.is_null v) then
-          acc.a_max <-
-            (if Value.is_null acc.a_max || Value.compare_total v acc.a_max > 0
-             then v
-             else acc.a_max)
-    | A.Avg ->
-        merge_sum acc r.(p);
-        acc.a_count <- acc.a_count + int_of r.(p + 1)
-  in
-  let final_of (a : A.agg) acc =
-    match a with
-    | A.Count_star | A.Count -> Value.Int acc.a_count
-    | A.Sum -> acc.a_sum
-    | A.Min -> acc.a_min
-    | A.Max -> acc.a_max
-    | A.Avg ->
-        if acc.a_count = 0 then Value.Null
-        else Value.arith `Div acc.a_sum (Value.Int acc.a_count)
-  in
-  if nkeys = 0 then
-    (* scalar combine: empty input (an exchange whose every partition
-       was pruned) falls out naturally — COUNT 0, other aggregates
-       NULL, the scalar-aggregate convention *)
-    breaker (fun orows ->
-        let accs = List.map (fun _ -> acc_create ()) readers in
-        iter_rows cchild orows (fun r ->
-            meter.agg_rows <- meter.agg_rows + 1;
-            List.iter2 (fun (a, p) acc -> combine acc a r p) readers accs);
-        let result = Vec.create ~cap:1 () in
-        Vec.push result
-          (Array.of_list
-             (List.map2 (fun (a, _) acc -> final_of a acc) readers accs));
-        result)
-  else begin
-    let groups = Hkey.create 16 in
-    breaker (fun orows ->
-        Hkey.reset groups;
-        let order = ref [] in
-        iter_rows cchild orows (fun r ->
-            meter.agg_rows <- meter.agg_rows + 1;
-            let kv = List.init nkeys (fun i -> r.(i)) in
-            let accs =
-              match Hkey.find_opt groups kv with
-              | Some accs -> accs
-              | None ->
-                  let accs = List.map (fun _ -> acc_create ()) readers in
-                  Hkey.add groups kv accs;
-                  order := kv :: !order;
-                  accs
-            in
-            List.iter2 (fun (a, p) acc -> combine acc a r p) readers accs);
-        let result = Vec.create () in
-        List.iter
-          (fun kv ->
-            let accs = Hkey.find groups kv in
-            Vec.push result
-              (Array.of_list
-                 (kv
-                 @ List.map2 (fun (a, _) acc -> final_of a acc) readers accs)))
-          (List.rev !order);
-        result)
-  end
+  group_fold ctx cchild ~key ~naccs:(List.length args) ~sorted
+    ~step:(fun orows r accs ->
+      List.iter2
+        (fun (feo, dist) acc ->
+          match feo with
+          | None -> ()
+          | Some f -> acc_add dist acc (f r orows))
+        fargs accs)
+    ~emit:(fun kv n accs -> Array.of_list (kv @ finish n accs))
 
 (* Partition-parallel execution of [child]. The task list is the
    ascending union of the pruning survivors of every [Part_scan] in the
