@@ -9,7 +9,7 @@
     - {b Sessions} ({!session}) carry client state: an id, default
       binds, an optional engine choice overriding the pool default, and
       per-session outcome counters.
-    - {b One bounded MPMC request queue} ({!Chan}) feeds {b N domain
+    - {b One bounded MPMC request queue} ({!Concur.Chan}) feeds {b N domain
       workers} ([Domain.spawn] each). Admission control is explicit:
       a full queue {e rejects} immediately ([Rejected] — the client can
       back off), and each request carries an absolute deadline checked
@@ -43,9 +43,6 @@ module Pc = Service.Plan_cache
 module Qs = Obs.Query_store
 module Mx = Obs.Metrics
 module Db = Storage.Db
-
-module Chan = Chan
-(** Re-export: [Server] is the library's toplevel module. *)
 
 (* ------------------------------------------------------------------ *)
 (* Requests and outcomes                                                *)
@@ -175,7 +172,7 @@ type t = {
   db : Db.t;
   cache : Pc.t;  (** shared, sharded *)
   store : Qs.t;  (** shared, sharded *)
-  queue : request Chan.t;
+  queue : request Concur.Chan.t;
   workers : worker array;
   mutable domains : unit Domain.t array;
   next_session : int Atomic.t;
@@ -231,7 +228,7 @@ let resolve_session (rq : request) (o : outcome) =
 
 let worker_loop t (w : worker) () =
   let rec loop () =
-    match Chan.pop t.queue with
+    match Concur.Chan.pop t.queue with
     | None -> ()  (* closed and drained: exit *)
     | Some rq ->
         (if Unix.gettimeofday () > rq.rq_deadline then begin
@@ -270,7 +267,7 @@ let create ?(config = default_config) (db : Db.t) : t =
       db;
       cache = Pc.create ~capacity:config.svc.Svc.capacity ~shards ();
       store = Qs.create ~capacity:config.svc.Svc.store_capacity ~shards ();
-      queue = Chan.create ~capacity:config.queue_depth;
+      queue = Concur.Chan.create ~capacity:config.queue_depth;
       workers =
         Array.init config.workers (fun i -> { w_id = i; w_services = [] });
       domains = [||];
@@ -291,7 +288,7 @@ let create ?(config = default_config) (db : Db.t) : t =
 
 let cache t = t.cache
 let query_store t = t.store
-let queue_length t = Chan.length t.queue
+let queue_length t = Concur.Chan.length t.queue
 
 (** Open a session. [engine] overrides the pool's execution engine for
     this session's requests; [binds] is the default bind vector used
@@ -329,7 +326,7 @@ let submit ?binds t (se : session) (stmt : stmt) : handle =
   let rq = make_request t se ?binds stmt in
   Atomic.incr t.c_submitted;
   Atomic.incr se.se_stats.ss_submitted;
-  if not (Chan.try_push t.queue rq) then begin
+  if not (Concur.Chan.try_push t.queue rq) then begin
     Atomic.incr t.c_rejected;
     resolve_session rq Rejected
   end;
@@ -341,7 +338,7 @@ let submit_wait ?binds t (se : session) (stmt : stmt) : handle =
   let rq = make_request t se ?binds stmt in
   Atomic.incr t.c_submitted;
   Atomic.incr se.se_stats.ss_submitted;
-  if not (Chan.push t.queue rq) then begin
+  if not (Concur.Chan.push t.queue rq) then begin
     Atomic.incr t.c_rejected;
     resolve_session rq Rejected
   end;
@@ -356,7 +353,7 @@ let run_batch ?binds t (se : session) (stmts : stmt list) : outcome list =
 (** Close the queue, drain it, and join every worker. Requests already
     accepted still execute; later submissions are rejected. *)
 let shutdown t =
-  Chan.close t.queue;
+  Concur.Chan.close t.queue;
   Array.iter Domain.join t.domains;
   t.domains <- [||]
 
@@ -441,7 +438,7 @@ let report t : report =
     rp_failed = Atomic.get t.c_failed;
     rp_rejected = Atomic.get t.c_rejected;
     rp_timed_out = Atomic.get t.c_timed_out;
-    rp_queued = Chan.length t.queue;
+    rp_queued = Concur.Chan.length t.queue;
     rp_inflight = Atomic.get t.g_inflight;
     rp_soft_parses = !soft;
     rp_hard_parses = !hard;
@@ -461,7 +458,7 @@ let report t : report =
 let publish_metrics t =
   if !Mx.enabled then begin
     Mx.set (Mx.gauge Mx.default "srv_queue_depth")
-      (float_of_int (Chan.length t.queue));
+      (float_of_int (Concur.Chan.length t.queue));
     Mx.set (Mx.gauge Mx.default "srv_inflight")
       (float_of_int (Atomic.get t.g_inflight));
     Mutex.lock t.pub_mu;

@@ -1,7 +1,7 @@
 (** Tests for the concurrent query server ([lib/server]) and the
     domain safety of the layers under it.
 
-    - {!Chan}: FIFO order, admission (try_push on a full ring), close
+    - {!Concur.Chan}: FIFO order, admission (try_push on a full ring), close
       semantics, and exact element conservation under concurrent
       producers and consumers.
     - Pool correctness: an N-worker run of a workload produces exactly
@@ -38,58 +38,58 @@ let workload_stmts n seed =
 (* ------------------------------------------------------------------ *)
 
 let test_chan_fifo () =
-  let c = Sv.Chan.create ~capacity:8 in
+  let c = Concur.Chan.create ~capacity:8 in
   for i = 1 to 8 do
-    Alcotest.(check bool) "push accepted" true (Sv.Chan.try_push c i)
+    Alcotest.(check bool) "push accepted" true (Concur.Chan.try_push c i)
   done;
-  Alcotest.(check int) "length" 8 (Sv.Chan.length c);
+  Alcotest.(check int) "length" 8 (Concur.Chan.length c);
   for i = 1 to 8 do
-    Alcotest.(check (option int)) "fifo order" (Some i) (Sv.Chan.pop c)
+    Alcotest.(check (option int)) "fifo order" (Some i) (Concur.Chan.pop c)
   done
 
 let test_chan_admission () =
-  let c = Sv.Chan.create ~capacity:2 in
-  Alcotest.(check bool) "1st accepted" true (Sv.Chan.try_push c 1);
-  Alcotest.(check bool) "2nd accepted" true (Sv.Chan.try_push c 2);
-  Alcotest.(check bool) "3rd rejected (full)" false (Sv.Chan.try_push c 3);
-  ignore (Sv.Chan.pop c);
-  Alcotest.(check bool) "accepted after pop" true (Sv.Chan.try_push c 3)
+  let c = Concur.Chan.create ~capacity:2 in
+  Alcotest.(check bool) "1st accepted" true (Concur.Chan.try_push c 1);
+  Alcotest.(check bool) "2nd accepted" true (Concur.Chan.try_push c 2);
+  Alcotest.(check bool) "3rd rejected (full)" false (Concur.Chan.try_push c 3);
+  ignore (Concur.Chan.pop c);
+  Alcotest.(check bool) "accepted after pop" true (Concur.Chan.try_push c 3)
 
 let test_chan_close_drains () =
-  let c = Sv.Chan.create ~capacity:8 in
-  ignore (Sv.Chan.try_push c 1);
-  ignore (Sv.Chan.try_push c 2);
-  Sv.Chan.close c;
-  Alcotest.(check bool) "push after close fails" false (Sv.Chan.try_push c 3);
-  Alcotest.(check (option int)) "drains 1" (Some 1) (Sv.Chan.pop c);
-  Alcotest.(check (option int)) "drains 2" (Some 2) (Sv.Chan.pop c);
-  Alcotest.(check (option int)) "then None" None (Sv.Chan.pop c)
+  let c = Concur.Chan.create ~capacity:8 in
+  ignore (Concur.Chan.try_push c 1);
+  ignore (Concur.Chan.try_push c 2);
+  Concur.Chan.close c;
+  Alcotest.(check bool) "push after close fails" false (Concur.Chan.try_push c 3);
+  Alcotest.(check (option int)) "drains 1" (Some 1) (Concur.Chan.pop c);
+  Alcotest.(check (option int)) "drains 2" (Some 2) (Concur.Chan.pop c);
+  Alcotest.(check (option int)) "then None" None (Concur.Chan.pop c)
 
 (* 2 producers x 2 consumers over a small ring: every pushed element is
    consumed exactly once (conservation), using blocking push as
    backpressure *)
 let test_chan_concurrent_conservation () =
-  let c = Sv.Chan.create ~capacity:4 in
+  let c = Concur.Chan.create ~capacity:4 in
   let per_producer = 500 in
   let producers =
     Array.init 2 (fun p ->
         Domain.spawn (fun () ->
             for i = 0 to per_producer - 1 do
-              ignore (Sv.Chan.push c ((p * per_producer) + i))
+              ignore (Concur.Chan.push c ((p * per_producer) + i))
             done))
   in
   let consumers =
     Array.init 2 (fun _ ->
         Domain.spawn (fun () ->
             let rec drain acc =
-              match Sv.Chan.pop c with
+              match Concur.Chan.pop c with
               | None -> acc
               | Some v -> drain (v :: acc)
             in
             drain []))
   in
   Array.iter Domain.join producers;
-  Sv.Chan.close c;
+  Concur.Chan.close c;
   let got =
     Array.fold_left (fun acc d -> Domain.join d @ acc) [] consumers
   in
