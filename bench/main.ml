@@ -49,6 +49,7 @@ module QG = Workload.Query_gen
 module SG = Workload.Schema_gen
 module R = Workload.Runner
 module D = Cbqt.Driver
+module J = Obs.Json
 
 let seed = ref 2006
 let scale = ref 1.0
@@ -66,27 +67,20 @@ let section name = Fmt.pr "@.========== %s ==========@." name
 (* JSON output (--json writes BENCH_cbqt.json)                          *)
 (* ------------------------------------------------------------------ *)
 
-(* one object per section; values are pre-rendered JSON literals *)
-let json_sections : (string * (string * string) list) list ref = ref []
+(* one object per section, in run order *)
+let json_sections : (string * (string * J.t) list) list ref = ref []
 
 (* fields the currently running section wants in its JSON object *)
-let section_fields : (string * string) list ref = ref []
+let section_fields : (string * J.t) list ref = ref []
 
 let jadd key value = section_fields := !section_fields @ [ (key, value) ]
-let jint n = string_of_int n
-let jfloat f = if Float.is_finite f then Printf.sprintf "%.3f" f else "null"
-let jbool b = if b then "true" else "false"
-let jobj fields =
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields)
-  ^ "}"
 
 let write_json path =
   let oc = open_out path in
   output_string oc
-    (jobj
-       (List.map (fun (name, fields) -> (name, jobj fields)) !json_sections));
+    (J.to_string
+       (J.Obj
+          (List.map (fun (name, fields) -> (name, J.Obj fields)) !json_sections)));
   output_string oc "\n";
   close_out oc;
   Fmt.pr "@.wrote %s@." path
@@ -105,7 +99,7 @@ let run_section name f =
     let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
     json_sections :=
       !json_sections
-      @ [ (name, !section_fields @ [ ("wall_ms", jfloat wall_ms) ]) ])
+      @ [ (name, !section_fields @ [ ("wall_ms", J.Float wall_ms) ]) ])
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: cost-annotation reuse                                       *)
@@ -207,15 +201,15 @@ let table1 () =
   if not (incremental < with_reuse) then
     Fmt.pr "WARNING: incremental costing (%d) not below annotation reuse (%d)@."
       incremental with_reuse;
-  jadd "states" (jint (List.length states));
-  jadd "blocks_without_reuse" (jint without_reuse);
-  jadd "blocks_with_reuse" (jint with_reuse);
-  jadd "blocks_incremental" (jint incremental);
-  jadd "ident_hits" (jint st.Planner.Opt_stats.ident_hits);
-  jadd "fp_hits" (jint st.Planner.Opt_stats.fp_hits);
-  jadd "blocks_aborted" (jint (Planner.Opt_stats.blocks_aborted st));
-  jadd "best_cost" (jfloat (cost_of best_inc));
-  jadd "plans_identical" (jbool plans_identical)
+  jadd "states" (J.Int (List.length states));
+  jadd "blocks_without_reuse" (J.Int without_reuse);
+  jadd "blocks_with_reuse" (J.Int with_reuse);
+  jadd "blocks_incremental" (J.Int incremental);
+  jadd "ident_hits" (J.Int st.Planner.Opt_stats.ident_hits);
+  jadd "fp_hits" (J.Int st.Planner.Opt_stats.fp_hits);
+  jadd "blocks_aborted" (J.Int (Planner.Opt_stats.blocks_aborted st));
+  jadd "best_cost" (J.Float (cost_of best_inc));
+  jadd "plans_identical" (J.Bool plans_identical)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: search strategies                                           *)
@@ -384,15 +378,15 @@ let table2 () =
       Fmt.pr "%-18s %10.2fms %8d %8d %8d@." name time_ms states
         rp.D.rp_blocks_optimized rp.D.rp_cache_hits;
       jadd name
-        (jobj
+        (J.Obj
            [
-             ("time_ms", jfloat time_ms);
-             ("states", jint states);
-             ("blocks_optimized", jint rp.D.rp_blocks_optimized);
-             ("ident_hits", jint rp.D.rp_ident_hits);
-             ("fp_hits", jint rp.D.rp_fp_hits);
-             ("states_cutoff", jint rp.D.rp_states_cutoff);
-             ("dp_pruned", jint rp.D.rp_dp_pruned);
+             ("time_ms", J.Float time_ms);
+             ("states", J.Int states);
+             ("blocks_optimized", J.Int rp.D.rp_blocks_optimized);
+             ("ident_hits", J.Int rp.D.rp_ident_hits);
+             ("fp_hits", J.Int rp.D.rp_fp_hits);
+             ("states_cutoff", J.Int rp.D.rp_states_cutoff);
+             ("dp_pruned", J.Int rp.D.rp_dp_pruned);
            ]))
     strategies;
   if Float.is_finite !exh_ms && Float.is_finite !nomemo_ms then
@@ -429,8 +423,8 @@ let run_experiment ~name ~paper ~n ~mix ~config_a ~config_b () =
   let s = R.summarize o in
   Fmt.pr "%a" R.pp_summary s;
   Fmt.pr "(paper: %s)@." paper;
-  jadd "queries" (jint n);
-  jadd "failures" (jint (List.length o.R.failures));
+  jadd "queries" (J.Int n);
+  jadd "failures" (J.Int (List.length o.R.failures));
   s
 
 let figure2 () =
@@ -648,27 +642,27 @@ let cache () =
   Fmt.pr "%a" Service.pp_report rp;
   if speedup < 5. then
     Fmt.pr "WARNING: warm-cache speedup %.1fx below the 5x target@." speedup;
-  jadd "statements" (jint n);
-  jadd "shapes" (jint shapes);
-  jadd "variants" (jint variants);
-  jadd "cold_qps" (jfloat cold_qps);
-  jadd "warm_qps" (jfloat warm_qps);
-  jadd "speedup" (jfloat speedup);
-  jadd "hit_rate" (jfloat rp.Service.sv_hit_rate);
-  jadd "soft_parse_avg_us" (jfloat rp.Service.sv_soft_avg_us);
-  jadd "hard_parse_avg_us" (jfloat rp.Service.sv_hard_avg_us);
-  jadd "soft_parses" (jint rp.Service.sv_soft_parses);
-  jadd "hard_parses" (jint rp.Service.sv_hard_parses);
-  jadd "invalidations" (jint rp.Service.sv_invalidations);
-  jadd "plans_replaced" (jint !inval);
-  jadd "plans_kept_by_guard" (jint !reval);
-  jadd "evictions" (jint rp.Service.sv_evictions);
-  jadd "fp_collisions" (jint rp.Service.sv_collisions);
-  jadd "cache_entries" (jint rp.Service.sv_entries);
-  jadd "cache_memory_words" (jint rp.Service.sv_memory_words);
-  jadd "metrics_off_qps" (jfloat metrics_off_qps);
-  jadd "metrics_on_qps" (jfloat metrics_on_qps);
-  jadd "metrics_overhead" (jfloat metrics_overhead)
+  jadd "statements" (J.Int n);
+  jadd "shapes" (J.Int shapes);
+  jadd "variants" (J.Int variants);
+  jadd "cold_qps" (J.Float cold_qps);
+  jadd "warm_qps" (J.Float warm_qps);
+  jadd "speedup" (J.Float speedup);
+  jadd "hit_rate" (J.Float rp.Service.sv_hit_rate);
+  jadd "soft_parse_avg_us" (J.Float rp.Service.sv_soft_avg_us);
+  jadd "hard_parse_avg_us" (J.Float rp.Service.sv_hard_avg_us);
+  jadd "soft_parses" (J.Int rp.Service.sv_soft_parses);
+  jadd "hard_parses" (J.Int rp.Service.sv_hard_parses);
+  jadd "invalidations" (J.Int rp.Service.sv_invalidations);
+  jadd "plans_replaced" (J.Int !inval);
+  jadd "plans_kept_by_guard" (J.Int !reval);
+  jadd "evictions" (J.Int rp.Service.sv_evictions);
+  jadd "fp_collisions" (J.Int rp.Service.sv_collisions);
+  jadd "cache_entries" (J.Int rp.Service.sv_entries);
+  jadd "cache_memory_words" (J.Int rp.Service.sv_memory_words);
+  jadd "metrics_off_qps" (J.Float metrics_off_qps);
+  jadd "metrics_on_qps" (J.Float metrics_on_qps);
+  jadd "metrics_overhead" (J.Float metrics_overhead)
 
 (* ------------------------------------------------------------------ *)
 (* Query store: AWR-style per-fingerprint workload repository           *)
@@ -725,18 +719,18 @@ let query_store () =
      shapes with feedback@."
     !tx_attempts !tx_accepts qerr_max
     (List.length qerr_entries);
-  jadd "fingerprints" (jint (Qs.length st));
-  jadd "store_evictions" (jint (Qs.evictions st));
-  jadd "executions" (jint execs);
-  jadd "rows" (jint rows);
-  jadd "soft_parses" (jint (sum (fun e -> e.Qs.qe_soft)));
-  jadd "hard_parses" (jint (sum (fun e -> e.Qs.qe_hard)));
-  jadd "vec_pipelines" (jint (sum (fun e -> e.Qs.qe_vec_pipelines)));
-  jadd "row_pipelines" (jint (sum (fun e -> e.Qs.qe_row_pipelines)));
-  jadd "tx_attempts" (jint !tx_attempts);
-  jadd "tx_accepts" (jint !tx_accepts);
-  jadd "qerr_shapes" (jint (List.length qerr_entries));
-  jadd "qerr_max" (jfloat qerr_max)
+  jadd "fingerprints" (J.Int (Qs.length st));
+  jadd "store_evictions" (J.Int (Qs.evictions st));
+  jadd "executions" (J.Int execs);
+  jadd "rows" (J.Int rows);
+  jadd "soft_parses" (J.Int (sum (fun e -> e.Qs.qe_soft)));
+  jadd "hard_parses" (J.Int (sum (fun e -> e.Qs.qe_hard)));
+  jadd "vec_pipelines" (J.Int (sum (fun e -> e.Qs.qe_vec_pipelines)));
+  jadd "row_pipelines" (J.Int (sum (fun e -> e.Qs.qe_row_pipelines)));
+  jadd "tx_attempts" (J.Int !tx_attempts);
+  jadd "tx_accepts" (J.Int !tx_accepts);
+  jadd "qerr_shapes" (J.Int (List.length qerr_entries));
+  jadd "qerr_max" (J.Float qerr_max)
 
 (* ------------------------------------------------------------------ *)
 (* Observability: trace aggregates + Q-error distribution               *)
@@ -838,20 +832,20 @@ let observability () =
   Fmt.pr "tracing overhead: off %.1f ms, full %.1f ms (+%.1f%%)@."
     (1000. *. t_off) (1000. *. t_full)
     (100. *. ((t_full /. Float.max 1e-9 t_off) -. 1.));
-  jadd "queries" (jint n);
-  jadd "traced" (jint (List.length results));
-  jadd "states" (jint !states);
-  jadd "states_per_sec" (jfloat states_per_sec);
-  jadd "cutoff_share" (jfloat cutoff_share);
-  jadd "states_errored" (jint !errored);
-  jadd "mean_span_coverage" (jfloat mean_cov);
-  jadd "report_trace_mismatches" (jint !mismatches);
-  jadd "qerr_operators" (jint (Array.length sorted));
-  jadd "qerr_p50" (jfloat p50);
-  jadd "qerr_p90" (jfloat p90);
-  jadd "qerr_max" (jfloat qmax);
-  jadd "trace_off_ms" (jfloat (1000. *. t_off));
-  jadd "trace_full_ms" (jfloat (1000. *. t_full))
+  jadd "queries" (J.Int n);
+  jadd "traced" (J.Int (List.length results));
+  jadd "states" (J.Int !states);
+  jadd "states_per_sec" (J.Float states_per_sec);
+  jadd "cutoff_share" (J.Float cutoff_share);
+  jadd "states_errored" (J.Int !errored);
+  jadd "mean_span_coverage" (J.Float mean_cov);
+  jadd "report_trace_mismatches" (J.Int !mismatches);
+  jadd "qerr_operators" (J.Int (Array.length sorted));
+  jadd "qerr_p50" (J.Float p50);
+  jadd "qerr_p90" (J.Float p90);
+  jadd "qerr_max" (J.Float qmax);
+  jadd "trace_off_ms" (J.Float (1000. *. t_off));
+  jadd "trace_full_ms" (J.Float (1000. *. t_full))
 
 (* ------------------------------------------------------------------ *)
 (* Executor: block-at-a-time vs list-at-a-time throughput               *)
@@ -962,19 +956,19 @@ let executor () =
   if speedup < 2. then
     Fmt.pr "WARNING: batch executor speedup %.2fx below the 2x target@."
       speedup;
-  jadd "plans" (jint (List.length plans));
-  jadd "rows_out_per_pass" (jint brows);
-  jadd "engines_agree" (jbool (brows = lrows));
-  jadd "baseline_cold_rows_per_sec" (jfloat (rps lrows lcold));
-  jadd "baseline_warm_rows_per_sec" (jfloat (rps lrows lwarm));
-  jadd "baseline_bytes_per_row" (jfloat (bpr lrows lbytes));
-  jadd "batch_cold_rows_per_sec" (jfloat (rps brows bcold));
-  jadd "batch_warm_rows_per_sec" (jfloat (rps brows bwarm));
-  jadd "batch_bytes_per_row" (jfloat (bpr brows bbytes));
-  jadd "warm_speedup" (jfloat speedup);
+  jadd "plans" (J.Int (List.length plans));
+  jadd "rows_out_per_pass" (J.Int brows);
+  jadd "engines_agree" (J.Bool (brows = lrows));
+  jadd "baseline_cold_rows_per_sec" (J.Float (rps lrows lcold));
+  jadd "baseline_warm_rows_per_sec" (J.Float (rps lrows lwarm));
+  jadd "baseline_bytes_per_row" (J.Float (bpr lrows lbytes));
+  jadd "batch_cold_rows_per_sec" (J.Float (rps brows bcold));
+  jadd "batch_warm_rows_per_sec" (J.Float (rps brows bwarm));
+  jadd "batch_bytes_per_row" (J.Float (bpr brows bbytes));
+  jadd "warm_speedup" (J.Float speedup);
   jadd "batch_size_sweep"
-    (jobj
-       (List.map (fun (s, r) -> (string_of_int s, jfloat r)) sweep));
+    (J.Obj
+       (List.map (fun (s, r) -> (string_of_int s, J.Float r)) sweep));
   (* -- scan/filter/aggregate: the vectorized engine's headline -------
      Single-table pipelines (filter, project, ungrouped aggregate) over
      every large table, run through all four engine configurations.
@@ -1108,17 +1102,17 @@ let executor () =
   if sfa_speedup < 2. then
     Fmt.pr "WARNING: vectorized sfa speedup %.2fx below the 2x target@."
       sfa_speedup;
-  jadd "sfa_plans" (jint (List.length sfa_plans));
-  jadd "sfa_rows_out_per_pass" (jint sfa_rows);
-  jadd "sfa_engines_agree" (jbool sfa_agree);
+  jadd "sfa_plans" (J.Int (List.length sfa_plans));
+  jadd "sfa_rows_out_per_pass" (J.Int sfa_rows);
+  jadd "sfa_engines_agree" (J.Bool sfa_agree);
   List.iter
     (fun (n, _) ->
-      jadd ("sfa_" ^ n ^ "_warm_rows_per_sec") (jfloat (wrps n));
-      jadd ("sfa_" ^ n ^ "_bytes_per_row") (jfloat (wbpr n)))
+      jadd ("sfa_" ^ n ^ "_warm_rows_per_sec") (J.Float (wrps n));
+      jadd ("sfa_" ^ n ^ "_bytes_per_row") (J.Float (wbpr n)))
     engines;
-  jadd "sfa_vector_speedup" (jfloat sfa_speedup);
-  jadd "sfa_auto_vs_best" (jfloat auto_vs_best);
-  jadd "sfa_vec_alloc_bytes" (jint (Exec.Meter.vec_alloc_bytes () - va0))
+  jadd "sfa_vector_speedup" (J.Float sfa_speedup);
+  jadd "sfa_auto_vs_best" (J.Float auto_vs_best);
+  jadd "sfa_vec_alloc_bytes" (J.Int (Exec.Meter.vec_alloc_bytes () - va0))
 
 (* ------------------------------------------------------------------ *)
 (* Server: QPS scaling over the domain worker pool                      *)
@@ -1218,16 +1212,16 @@ let server () =
       speedup_4w
   else if cores < 4 then
     Fmt.pr "(single-core host: speedup target not applicable)@.";
-  jadd "statements" (jint n);
-  jadd "passes" (jint passes);
-  jadd "cores" (jint cores);
+  jadd "statements" (J.Int n);
+  jadd "passes" (J.Int passes);
+  jadd "cores" (J.Int cores);
   List.iter
     (fun (w, qps, _, _, _) ->
-      jadd (Printf.sprintf "qps_%dw" w) (jfloat qps))
+      jadd (Printf.sprintf "qps_%dw" w) (J.Float qps))
     runs;
-  jadd "speedup_4w" (jfloat speedup_4w);
-  jadd "digests_equal" (jbool digests_equal);
-  jadd "lost_requests" (jint lost)
+  jadd "speedup_4w" (J.Float speedup_4w);
+  jadd "digests_equal" (J.Bool digests_equal);
+  jadd "lost_requests" (J.Int lost)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel: partition-parallel execution and costed pruning            *)
@@ -1390,22 +1384,22 @@ let parallel () =
     Fmt.pr "WARNING: dop-4 speedup %.2fx below the 2x target@." speedup
   else if cores < 4 then
     Fmt.pr "(single-core host: speedup target not applicable)@.";
-  jadd "plans" (jint (List.length plans));
-  jadd "rows_out_per_pass" (jint rows_out);
-  jadd "cores" (jint cores);
-  jadd "serial_rows_per_sec" (jfloat (rps ser_t));
+  jadd "plans" (J.Int (List.length plans));
+  jadd "rows_out_per_pass" (J.Int rows_out);
+  jadd "cores" (J.Int cores);
+  jadd "serial_rows_per_sec" (J.Float (rps ser_t));
   List.iter
     (fun (d, _, _, _, t) ->
-      jadd (Printf.sprintf "rows_per_sec_dop%d" d) (jfloat (rps t)))
+      jadd (Printf.sprintf "rows_per_sec_dop%d" d) (J.Float (rps t)))
     runs;
-  jadd "parallel_speedup" (jfloat speedup);
-  jadd "parallel_results_agree" (jbool results_agree);
-  jadd "meters_dop_invariant" (jbool meters_agree);
-  jadd "observed_dop" (jint observed_dop);
-  jadd "prune_parts_scanned" (jint es_p.Exec.Executor.es_parts_scanned);
-  jadd "prune_parts_total" (jint parts_total);
-  jadd "prune_scan_ratio" (jfloat prune_scan_ratio);
-  jadd "prune_results_agree" (jbool prune_agree)
+  jadd "parallel_speedup" (J.Float speedup);
+  jadd "parallel_results_agree" (J.Bool results_agree);
+  jadd "meters_dop_invariant" (J.Bool meters_agree);
+  jadd "observed_dop" (J.Int observed_dop);
+  jadd "prune_parts_scanned" (J.Int es_p.Exec.Executor.es_parts_scanned);
+  jadd "prune_parts_total" (J.Int parts_total);
+  jadd "prune_scan_ratio" (J.Float prune_scan_ratio);
+  jadd "prune_results_agree" (J.Bool prune_agree)
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                          *)
