@@ -591,7 +591,6 @@ let serve_cmd =
     in
     let pool_cfg =
       {
-        Sv.default_config with
         Sv.workers;
         queue_depth;
         deadline_s = deadline_ms /. 1000.;

@@ -1,42 +1,37 @@
-(** Per-fingerprint query store: an AWR-style workload repository.
+(** Per-shape query store: an AWR-style workload repository.
 
-    One entry per {e Generic} structural fingerprint — the same key the
-    plan cache uses, so every literal variant of a query shape
-    accumulates into one record. Each entry carries execution and
-    parse counts, a latency histogram ({!Metrics.histogram},
-    constant-memory), rows returned, per-field meter totals, the
-    engine mix (row vs vectorized pipelines), transformation
-    attempt/accept counts from the optimizer report of every hard
-    parse, and per-operator Q-error aggregates from EXPLAIN-ANALYZE
-    feedback. This is the data foundation adaptive reoptimization
-    needs: which shapes dominate total time, where estimates go wrong,
-    and whether the cost-based transformations pay off per shape.
+    One entry per canonical query — the same key the plan cache uses,
+    so every literal variant of a query shape accumulates into one
+    record. Each entry carries execution and parse counts, a latency
+    histogram ({!Metrics.histogram}, constant-memory), rows returned,
+    per-field meter totals, the engine mix (row vs vectorized
+    pipelines), transformation attempt/accept counts from the optimizer
+    report of every hard parse, and per-operator Q-error aggregates
+    from EXPLAIN-ANALYZE feedback. This is the data foundation adaptive
+    reoptimization needs: which shapes dominate total time, where
+    estimates go wrong, and whether the cost-based transformations pay
+    off per shape.
 
-    The store is bounded: when a {e new} fingerprint would exceed the
-    capacity, the least-recently-executed entry is evicted (and
-    counted). Hash collisions are disambiguated by the canonical query
-    text, mirroring {!Plan_cache}'s verified probes.
+    The store is a {!Concur.Lru} keyed by the caller's fingerprint hash
+    and verified against the caller's canonical key, so two shapes whose
+    fingerprints collide keep two entries. It is bounded: when a {e new}
+    shape would exceed the capacity, the least-recently-executed entry
+    is evicted (and counted).
 
-    {b Domain safety.} Sharded exactly like the plan cache: the
-    fingerprint picks one of a power-of-two number of shards, each an
-    independent hashtable behind its own mutex. [observe] performs
-    {e every} mutation of the entry — counts, meters, the embedded
-    latency histogram, and the optional hard-parse transformation and
-    Q-error attachments — inside the one shard lock, so an entry's
-    fields never tear apart under concurrent executions of the same
-    query shape and no observation is lost. The default [shards = 1]
-    keeps the single-lock behavior (and one global LRU order) of a
-    private store. The bare [record_tx] / [record_qerr] helpers mutate
-    an entry directly and are for single-domain use only; concurrent
-    callers pass [~txs] / [~qerrs] to [observe] instead.
+    {b Domain safety.} [observe] performs {e every} mutation of the
+    entry — counts, meters, the embedded latency histogram, and the
+    optional hard-parse transformation and Q-error attachments — under
+    the one shard lock of its key, so an entry's fields never tear
+    apart under concurrent executions of the same query shape and no
+    observation is lost. The default [shards = 1] keeps the single-lock
+    behavior (and one global LRU order) of a private store.
 
-    Deliberately generic (fingerprint [int] + rendered text) so it can
-    live below {!Sqlir} in the build graph; the service layer owns the
-    fingerprinting and rendering. The JSON snapshot separates
-    wall-clock-derived fields under a per-entry ["wall"] object so
-    that, for a fixed workload and seed, the rest of the snapshot is
-    bit-identical across runs — the determinism property the test
-    suite checks. *)
+    Generic in the key type so it can live below {!Sqlir} in the build
+    graph; the service layer owns the fingerprinting and rendering. The
+    JSON snapshot separates wall-clock-derived fields under a per-entry
+    ["wall"] object so that, for a fixed workload and seed, the rest of
+    the snapshot is bit-identical across runs — the determinism
+    property the test suite checks. *)
 
 module M = Metrics
 
@@ -54,8 +49,8 @@ type entry = {
           than mutable float fields so accumulating them in the mixed
           record does not box per execution. *)
   qe_latency : M.histogram;  (** per-execution wall seconds *)
-  mutable qe_meter_names : string array;  (** canonical meter field names *)
-  mutable qe_meter : int array;  (** meter field totals, same order *)
+  qe_meter_names : string array;  (** canonical meter field names *)
+  qe_meter : int array;  (** meter field totals, same order *)
   mutable qe_vec_pipelines : int;
   mutable qe_row_pipelines : int;
   mutable qe_dop_max : int;
@@ -66,7 +61,6 @@ type entry = {
   mutable qe_qerr_max : float;  (** worst per-operator Q-error observed *)
   mutable qe_qerr_sum : float;
   mutable qe_qerr_n : int;  (** per-operator Q-error samples *)
-  mutable qe_last_used : int;  (** logical clock of the last execution *)
 }
 
 (** Total execution / parse wall seconds accumulated by an entry. *)
@@ -74,242 +68,105 @@ let qe_exec_s e = e.qe_secs.(0)
 
 let qe_parse_s e = e.qe_secs.(1)
 
-type shard = {
-  mu : Mutex.t;
-  tbl : (int, entry list) Hashtbl.t;
-  mutable clock : int;
-  mutable evictions : int;
-  mutable entries : int;  (** live entry count (O(1) capacity check) *)
-}
+(** A store whose entries are verified against keys of type ['k]. *)
+type 'k t = ('k, entry) Concur.Lru.t
 
-type t = {
-  shards : shard array;  (** power-of-two length *)
-  smask : int;
-  shard_capacity : int;  (** per-shard entry bound *)
-}
+let create ?(capacity = 256) ?(shards = 1) () : 'k t =
+  Concur.Lru.create ~capacity ~shards
 
-let create ?(capacity = 256) ?(shards = 1) () : t =
-  let capacity = max 1 capacity in
-  let n =
-    let rec np2 k = if k >= shards || k >= 256 then k else np2 (k * 2) in
-    np2 1
-  in
-  let shard_capacity = (capacity + n - 1) / n in
-  {
-    shards =
-      Array.init n (fun _ ->
-          {
-            mu = Mutex.create ();
-            tbl = Hashtbl.create (max 16 shard_capacity);
-            clock = 0;
-            evictions = 0;
-            entries = 0;
-          });
-    smask = n - 1;
-    shard_capacity;
-  }
+let length (t : _ t) = (Concur.Lru.stats t).entries
+let evictions (t : _ t) = (Concur.Lru.stats t).evictions
+let entries (t : _ t) : entry list = Concur.Lru.values t
 
-let shard_of t (fp : int) = Array.unsafe_get t.shards (fp land t.smask)
-
-let length t =
-  Array.fold_left
-    (fun n s ->
-      Mutex.lock s.mu;
-      let e = s.entries in
-      Mutex.unlock s.mu;
-      n + e)
-    0 t.shards
-
-let evictions t =
-  Array.fold_left
-    (fun n s ->
-      Mutex.lock s.mu;
-      let e = s.evictions in
-      Mutex.unlock s.mu;
-      n + e)
-    0 t.shards
-
-let entries t : entry list =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.mu;
-      let es = Hashtbl.fold (fun _ es acc -> es @ acc) s.tbl acc in
-      Mutex.unlock s.mu;
-      es)
-    [] t.shards
-
-(* caller holds [s.mu] *)
-let evict_lru_locked s =
-  let victim =
-    Hashtbl.fold
-      (fun _ es acc ->
-        List.fold_left
-          (fun acc e ->
-            match acc with
-            | Some best when best.qe_last_used <= e.qe_last_used -> acc
-            | _ -> Some e)
-          acc es)
-      s.tbl None
-  in
-  match victim with
-  | None -> ()
-  | Some e ->
-      (match Hashtbl.find_opt s.tbl e.qe_fp with
-      | None -> ()
-      | Some es -> (
-          match List.filter (fun e' -> e' != e) es with
-          | [] -> Hashtbl.remove s.tbl e.qe_fp
-          | es' -> Hashtbl.replace s.tbl e.qe_fp es'));
-      s.entries <- s.entries - 1;
-      s.evictions <- s.evictions + 1
-
-(* caller holds the entry's shard lock *)
-let record_tx_locked (e : entry) ~(name : string) ~(accepted : bool) : unit =
-  let att, acc =
-    match Hashtbl.find_opt e.qe_tx name with Some p -> p | None -> (0, 0)
-  in
-  Hashtbl.replace e.qe_tx name (att + 1, if accepted then acc + 1 else acc)
-
-(* caller holds the entry's shard lock *)
-let record_qerr_locked (e : entry) (qerrs : float list) : unit =
-  List.iter
-    (fun q ->
-      if Float.is_finite q then begin
-        if Float.is_nan e.qe_qerr_max || q > e.qe_qerr_max then
-          e.qe_qerr_max <- q;
-        e.qe_qerr_sum <- e.qe_qerr_sum +. q;
-        e.qe_qerr_n <- e.qe_qerr_n + 1
-      end)
-    qerrs
-
-(** One execution observed for fingerprint [fp]. [text] is evaluated
-    only when the entry is created (rendering the canonical query is
-    not hot-path work). [meter] is the execution's meter delta in the
-    canonical order named by [meter_names] ([Exec.Meter.field_names]
-    upstream); callers pass one shared physically-equal [meter_names]
-    array, which keeps accumulation a positional unboxed loop on the
-    hot path. [txs] (transformation attempts of a hard parse) and
+(** One execution observed for the canonical query [key] with
+    fingerprint hash [fp]. [text] is evaluated only when the entry is
+    created (rendering the canonical query is not hot-path work).
+    [meter] is the execution's meter delta in the canonical order named
+    by [meter_names] ([Exec.Meter.field_names] upstream); callers pass
+    one shared physically-equal [meter_names] array, which keeps
+    accumulation a positional unboxed loop. Raises [Invalid_argument]
+    when [meter_names] or the length of [meter] differ from the
+    entry's. [txs] (transformation attempts of a hard parse) and
     [qerrs] (per-operator Q-errors of an EXPLAIN-ANALYZE run) are
     folded in under the same shard lock as the rest of the update.
-    Returns the (created or updated) entry for single-domain callers
-    that want to attach more data. *)
+    Returns the (created or updated) entry. *)
 let observe ?(txs : (string * bool) list = []) ?(qerrs : float list = [])
-    ?(dop = 0) ?(parts_scanned = 0) ?(parts_pruned = 0) t ~(fp : int)
-    ~(text : unit -> string) ~(outcome : string) ~(rows : int)
+    ?(dop = 0) ?(parts_scanned = 0) ?(parts_pruned = 0) (t : 'k t) ~(fp : int)
+    ~(key : 'k) ~(text : unit -> string) ~(outcome : string) ~(rows : int)
     ~(exec_s : float) ~(parse_s : float) ~(meter_names : string array)
     ~(meter : int array) ~(vec_pipelines : int) ~(row_pipelines : int) : entry
     =
-  let s = shard_of t fp in
-  Mutex.lock s.mu;
-  let e =
-    let bucket =
-      match Hashtbl.find_opt s.tbl fp with None -> [] | Some es -> es
-    in
-    match
-      match bucket with
-      | [ e ] -> Some e (* common case: no collision, skip rendering *)
-      | [] -> None
-      | es ->
-          let txt = text () in
-          List.find_opt (fun e -> e.qe_text = txt) es
-    with
-    | Some e -> e
-    | None ->
-        while s.entries >= t.shard_capacity do
-          evict_lru_locked s
-        done;
-        let e =
-          {
-            qe_fp = fp;
-            qe_text = text ();
-            qe_execs = 0;
-            qe_soft = 0;
-            qe_hard = 0;
-            qe_reval = 0;
-            qe_inval = 0;
-            qe_rows = 0;
-            qe_secs = [| 0.; 0. |];
-            qe_latency = M.hist_create "latency_seconds";
-            qe_meter_names = meter_names;
-            qe_meter = Array.make (Array.length meter_names) 0;
-            qe_vec_pipelines = 0;
-            qe_row_pipelines = 0;
-            qe_dop_max = 0;
-            qe_parts_scanned = 0;
-            qe_parts_pruned = 0;
-            qe_tx = Hashtbl.create 8;
-            qe_qerr_max = nan;
-            qe_qerr_sum = 0.;
-            qe_qerr_n = 0;
-            qe_last_used = 0;
-          }
-        in
-        Hashtbl.replace s.tbl fp
-          (e :: (match Hashtbl.find_opt s.tbl fp with None -> [] | Some es -> es));
-        s.entries <- s.entries + 1;
-        e
+  let fresh () =
+    {
+      qe_fp = fp;
+      qe_text = text ();
+      qe_execs = 0;
+      qe_soft = 0;
+      qe_hard = 0;
+      qe_reval = 0;
+      qe_inval = 0;
+      qe_rows = 0;
+      qe_secs = [| 0.; 0. |];
+      qe_latency = M.hist_create "latency_seconds";
+      qe_meter_names = meter_names;
+      qe_meter = Array.make (Array.length meter_names) 0;
+      qe_vec_pipelines = 0;
+      qe_row_pipelines = 0;
+      qe_dop_max = 0;
+      qe_parts_scanned = 0;
+      qe_parts_pruned = 0;
+      qe_tx = Hashtbl.create 8;
+      qe_qerr_max = nan;
+      qe_qerr_sum = 0.;
+      qe_qerr_n = 0;
+    }
   in
-  s.clock <- s.clock + 1;
-  e.qe_last_used <- s.clock;
-  e.qe_execs <- e.qe_execs + 1;
-  (match outcome with
-  | "hit" -> e.qe_soft <- e.qe_soft + 1
-  | "miss" -> e.qe_hard <- e.qe_hard + 1
-  | "revalidated" ->
-      e.qe_hard <- e.qe_hard + 1;
-      e.qe_reval <- e.qe_reval + 1
-  | "invalidated" ->
-      e.qe_hard <- e.qe_hard + 1;
-      e.qe_inval <- e.qe_inval + 1
-  | _ -> e.qe_hard <- e.qe_hard + 1);
-  e.qe_rows <- e.qe_rows + rows;
-  e.qe_secs.(0) <- e.qe_secs.(0) +. exec_s;
-  e.qe_secs.(1) <- e.qe_secs.(1) +. parse_s;
-  M.observe e.qe_latency exec_s;
-  (if
-     e.qe_meter_names == meter_names
-     && Array.length meter = Array.length e.qe_meter
-   then
-     (* common case: one shared canonical name array per process, so
-        accumulation is a positional unboxed add — no allocation, no
-        string compares, no write barrier *)
-     Array.iteri (fun i v -> e.qe_meter.(i) <- e.qe_meter.(i) + v) meter
-   else
-     (* name array drifted (a second canonical list in one process —
-        should not happen) — merge by name, appending unknown fields *)
-     Array.iteri
-       (fun i v ->
-         let name = meter_names.(i) in
-         match
-           Array.find_index (String.equal name) e.qe_meter_names
-         with
-         | Some j -> e.qe_meter.(j) <- e.qe_meter.(j) + v
-         | None ->
-             e.qe_meter_names <-
-               Array.append e.qe_meter_names [| name |];
-             e.qe_meter <- Array.append e.qe_meter [| v |])
-       meter);
-  e.qe_vec_pipelines <- e.qe_vec_pipelines + vec_pipelines;
-  e.qe_row_pipelines <- e.qe_row_pipelines + row_pipelines;
-  if dop > e.qe_dop_max then e.qe_dop_max <- dop;
-  e.qe_parts_scanned <- e.qe_parts_scanned + parts_scanned;
-  e.qe_parts_pruned <- e.qe_parts_pruned + parts_pruned;
-  List.iter (fun (name, accepted) -> record_tx_locked e ~name ~accepted) txs;
-  if qerrs <> [] then record_qerr_locked e qerrs;
-  Mutex.unlock s.mu;
-  e
-
-(** Record one transformation attempt (and whether its rewrite was
-    accepted) from a hard parse's optimizer report. Single-domain use
-    only — concurrent callers pass [~txs] to {!observe}. *)
-let record_tx (e : entry) ~(name : string) ~(accepted : bool) : unit =
-  record_tx_locked e ~name ~accepted
-
-(** Fold per-operator Q-errors of one EXPLAIN-ANALYZE run into the
-    entry's max / mean aggregates. Single-domain use only — concurrent
-    callers pass [~qerrs] to {!observe}. *)
-let record_qerr (e : entry) (qerrs : float list) : unit =
-  record_qerr_locked e qerrs
+  let update e =
+    if
+      (e.qe_meter_names != meter_names && e.qe_meter_names <> meter_names)
+      || Array.length meter <> Array.length e.qe_meter
+    then
+      invalid_arg "Query_store.observe: meter fields differ from the entry's";
+    e.qe_execs <- e.qe_execs + 1;
+    (match outcome with
+    | "hit" -> e.qe_soft <- e.qe_soft + 1
+    | "miss" -> e.qe_hard <- e.qe_hard + 1
+    | "revalidated" ->
+        e.qe_hard <- e.qe_hard + 1;
+        e.qe_reval <- e.qe_reval + 1
+    | "invalidated" ->
+        e.qe_hard <- e.qe_hard + 1;
+        e.qe_inval <- e.qe_inval + 1
+    | _ -> e.qe_hard <- e.qe_hard + 1);
+    e.qe_rows <- e.qe_rows + rows;
+    e.qe_secs.(0) <- e.qe_secs.(0) +. exec_s;
+    e.qe_secs.(1) <- e.qe_secs.(1) +. parse_s;
+    M.observe e.qe_latency exec_s;
+    Array.iteri (fun i v -> e.qe_meter.(i) <- e.qe_meter.(i) + v) meter;
+    e.qe_vec_pipelines <- e.qe_vec_pipelines + vec_pipelines;
+    e.qe_row_pipelines <- e.qe_row_pipelines + row_pipelines;
+    if dop > e.qe_dop_max then e.qe_dop_max <- dop;
+    e.qe_parts_scanned <- e.qe_parts_scanned + parts_scanned;
+    e.qe_parts_pruned <- e.qe_parts_pruned + parts_pruned;
+    List.iter
+      (fun (name, accepted) ->
+        let att, acc =
+          match Hashtbl.find_opt e.qe_tx name with Some p -> p | None -> (0, 0)
+        in
+        Hashtbl.replace e.qe_tx name
+          (att + 1, if accepted then acc + 1 else acc))
+      txs;
+    List.iter
+      (fun q ->
+        if Float.is_finite q then begin
+          if Float.is_nan e.qe_qerr_max || q > e.qe_qerr_max then
+            e.qe_qerr_max <- q;
+          e.qe_qerr_sum <- e.qe_qerr_sum +. q;
+          e.qe_qerr_n <- e.qe_qerr_n + 1
+        end)
+      qerrs
+  in
+  Concur.Lru.add ~update t ~h:fp key fresh
 
 let qerr_mean e =
   if e.qe_qerr_n = 0 then nan else e.qe_qerr_sum /. float_of_int e.qe_qerr_n

@@ -143,9 +143,6 @@ type config = {
   deadline_s : float;
       (** per-request deadline in seconds from submission; [<= 0.] =
           none. Checked when a worker dequeues the request. *)
-  shards : int;
-      (** plan-cache / query-store shards; [0] = auto ([4 x workers],
-          rounded up to a power of two) *)
   svc : Svc.config;  (** per-worker service configuration *)
 }
 
@@ -154,7 +151,6 @@ let default_config =
     workers = 1;
     queue_depth = 64;
     deadline_s = 0.;
-    shards = 0;
     svc = Svc.default_config;
   }
 
@@ -171,7 +167,7 @@ type t = {
   cfg : config;
   db : Db.t;
   cache : Pc.t;  (** shared, sharded *)
-  store : Qs.t;  (** shared, sharded *)
+  store : A.query Qs.t;  (** shared, sharded *)
   queue : request Concur.Chan.t;
   workers : worker array;
   mutable domains : unit Domain.t array;
@@ -251,16 +247,14 @@ let worker_loop t (w : worker) () =
   loop ()
 
 (** Build the pool and spawn its workers. The shared plan cache and
-    query store are sharded [4 x workers] by default so concurrent
-    probes rarely meet on a lock. *)
+    query store have [4 x workers] shards (rounded up to a power of
+    two), so concurrent probes rarely meet on a lock. *)
 let create ?(config = default_config) (db : Db.t) : t =
   let config = { config with workers = max 1 config.workers } in
   (* force every lazy registry handle on the query path before any
      domain can race a suspension *)
   Svc.prewarm ();
-  let shards =
-    if config.shards > 0 then config.shards else 4 * config.workers
-  in
+  let shards = 4 * config.workers in
   let t =
     {
       cfg = config;

@@ -4,9 +4,8 @@
     Keys are the {!Sqlir.Fingerprint} [Generic]-mode hash of the
     canonical parameterized query (bind-peek values excluded — one
     cached plan serves every bind vector of the same query shape).
-    Buckets hold the canonical query itself, so a probe is verified by
-    full structural comparison; a bucket entry that fails it is a true
-    hash collision and is only counted, never returned.
+    Probes are verified against the canonical query itself, so a hash
+    collision is only counted, never returned.
 
     Entries carry the stats-epoch snapshot of every base table the
     query reads. The cache itself never consults the catalog:
@@ -14,30 +13,19 @@
     hit and drives recompilation ({e lazy invalidation} — a bumped
     epoch costs nothing until the next probe of an affected plan).
 
-    Replacement is least-recently-used under a logical clock, bounded
-    by entry count; memory is accounted per entry with
-    [Obj.reachable_words] at insertion time (annotations share plan
-    subtrees, so the figure is an upper bound of the cache's own
-    footprint).
-
-    {b Domain safety.} The cache is {e sharded}: the key hash picks one
-    of a power-of-two number of shards, each an independent hashtable
-    with its own mutex, LRU clock, statistics and memory accounting.
-    Every operation takes exactly one shard lock, so concurrent workers
-    probing different shards never contend and accounting stays exact:
-    words and entry counts move only under the owning shard's lock, and
-    a snapshot sums the per-shard figures. Capacity is enforced
-    per-shard at [ceil(capacity / shards)], so total occupancy never
-    exceeds (rounded-up) capacity and eviction needs no global
-    coordination. Racing hard parses of the same new query are deduped
-    at insert: [store] returns the entry that won, and the loser's plan
-    is dropped rather than double-counted. The default [shards = 1]
-    preserves the exact single-threaded behavior (one global LRU
-    order). *)
+    Storage, sharding, least-recently-used replacement and the exact
+    hit / miss / collision / eviction / memory accounting are
+    {!Concur.Lru}'s: every operation takes one shard lock, so workers
+    probing different shards never contend. Racing hard parses of the
+    same new query are deduped at insert: [store] returns the entry
+    that won, and the loser's plan is dropped rather than
+    double-counted. The default [shards = 1] keeps one global LRU
+    order. *)
 
 open Sqlir
 module A = Ast
 module Mx = Obs.Metrics
+module Lru = Concur.Lru
 
 (* the cache's footprint and churn, published to the process-wide
    registry: evictions are counted live (one atomic add on the
@@ -58,250 +46,87 @@ type entry = {
   mutable e_epochs : (string * int) list;
       (** stats-epoch snapshot per table, refreshed on revalidation;
           mutated only under the owning shard's lock *)
-  mutable e_last_used : int;  (** logical clock of the last probe *)
-  e_words : int;  (** [Obj.reachable_words] of the entry at insertion *)
 }
 
 type stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable invalidations : int;
+  hits : int;
+  misses : int;
+  evictions : int;
+  invalidations : int;
       (** probes whose epoch snapshot was stale (recompiled; the old
           plan may still have been kept by the cost-delta guard) *)
-  mutable collisions : int;
-      (** bucket entries that failed the structural comparison *)
+  collisions : int;  (** bucket entries that failed the key comparison *)
 }
 
-let stats_create () =
-  { hits = 0; misses = 0; evictions = 0; invalidations = 0; collisions = 0 }
-
-type shard = {
-  mu : Mutex.t;
-  tbl : (int, entry list) Hashtbl.t;
-  st : stats;
-  mutable clock : int;
-  mutable words : int;  (** sum of [e_words] over this shard's entries *)
-  mutable entries : int;  (** live entry count (O(1) capacity check) *)
-}
-
-type t = {
-  shards : shard array;  (** power-of-two length *)
-  smask : int;
-  shard_capacity : int;  (** per-shard entry bound *)
-  capacity : int;  (** requested total bound (reporting only) *)
-}
+type t = { lru : (A.query, entry) Lru.t; invalidations : int Atomic.t }
 
 (** [shards] is rounded up to a power of two; the default [1] keeps the
     single-lock, single-LRU behavior of a private cache. A server
     passes its worker count (or more) so probes spread over
     independently-locked shards. *)
 let create ?(capacity = 128) ?(shards = 1) () =
-  let capacity = max 1 capacity in
-  let n =
-    let rec np2 k = if k >= shards || k >= 256 then k else np2 (k * 2) in
-    np2 1
-  in
-  let shard_capacity = (capacity + n - 1) / n in
+  { lru = Lru.create ~capacity ~shards; invalidations = Atomic.make 0 }
+
+(** Point-in-time totals summed over the shards. *)
+let stats t : stats =
+  let s = Lru.stats t.lru in
   {
-    shards =
-      Array.init n (fun _ ->
-          {
-            mu = Mutex.create ();
-            tbl = Hashtbl.create (max 16 shard_capacity);
-            st = stats_create ();
-            clock = 0;
-            words = 0;
-            entries = 0;
-          });
-    smask = n - 1;
-    shard_capacity;
-    capacity;
+    hits = s.hits;
+    misses = s.misses;
+    evictions = s.evictions;
+    invalidations = Atomic.get t.invalidations;
+    collisions = s.collisions;
   }
 
-let shard_count t = Array.length t.shards
-let shard_of t (h : int) = Array.unsafe_get t.shards (h land t.smask)
+let memory_words t = (Lru.stats t.lru).words
+let length t = (Lru.stats t.lru).entries
 
-let with_shard t h f =
-  let s = shard_of t h in
-  Mutex.lock s.mu;
-  match f s with
-  | v ->
-      Mutex.unlock s.mu;
-      v
-  | exception e ->
-      Mutex.unlock s.mu;
-      raise e
+(** Probe for [key] under hash [h]: counts a hit or a miss and bumps
+    the entry's recency. *)
+let find t ~(h : int) ~(key : A.query) : entry option = Lru.find t.lru ~h key
 
-(** Point-in-time totals summed over the shards. The record is a fresh
-    snapshot — re-call [stats] to observe later traffic. *)
-let stats t : stats =
-  let acc = stats_create () in
-  Array.iter
-    (fun s ->
-      Mutex.lock s.mu;
-      acc.hits <- acc.hits + s.st.hits;
-      acc.misses <- acc.misses + s.st.misses;
-      acc.evictions <- acc.evictions + s.st.evictions;
-      acc.invalidations <- acc.invalidations + s.st.invalidations;
-      acc.collisions <- acc.collisions + s.st.collisions;
-      Mutex.unlock s.mu)
-    t.shards;
-  acc
+let count_eviction () = if !Mx.enabled then Mx.inc (Lazy.force m_evictions)
 
-let memory_words t =
-  Array.fold_left
-    (fun n s ->
-      Mutex.lock s.mu;
-      let w = s.words in
-      Mutex.unlock s.mu;
-      n + w)
-    0 t.shards
-
-let length t =
-  Array.fold_left
-    (fun n s ->
-      Mutex.lock s.mu;
-      let e = s.entries in
-      Mutex.unlock s.mu;
-      n + e)
-    0 t.shards
-
-let tick s =
-  s.clock <- s.clock + 1;
-  s.clock
-
-(** Probe for [key] under hash [h]. Counts a hit or a miss, bumps the
-    entry's LRU clock, and counts (but skips) colliding bucket
-    entries. *)
-let find t ~(h : int) ~(key : A.query) : entry option =
-  with_shard t h (fun s ->
-      let bucket =
-        match Hashtbl.find_opt s.tbl h with None -> [] | Some es -> es
-      in
-      let rec scan = function
-        | [] ->
-            s.st.misses <- s.st.misses + 1;
-            None
-        | e :: rest ->
-            if e.e_key = key then (
-              s.st.hits <- s.st.hits + 1;
-              e.e_last_used <- tick s;
-              Some e)
-            else (
-              s.st.collisions <- s.st.collisions + 1;
-              scan rest)
-      in
-      scan bucket)
-
-(* caller holds [s.mu]. Accounting moves only when the entry is
-   actually found: a racing replace may have removed it already. *)
-let remove_entry_locked s ~(h : int) (e : entry) : unit =
-  match Hashtbl.find_opt s.tbl h with
-  | None -> ()
-  | Some es ->
-      let es' = List.filter (fun e' -> e' != e) es in
-      if List.compare_lengths es' es < 0 then begin
-        (match es' with
-        | [] -> Hashtbl.remove s.tbl h
-        | _ -> Hashtbl.replace s.tbl h es');
-        s.words <- s.words - e.e_words;
-        s.entries <- s.entries - 1
-      end
-
-(** Evict this shard's least-recently-used entry (linear scan — the
-    cache is bounded and small compared to the plans it holds). Caller
-    holds [s.mu]. *)
-let evict_lru_locked s : unit =
-  let victim =
-    Hashtbl.fold
-      (fun h es acc ->
-        List.fold_left
-          (fun acc e ->
-            match acc with
-            | Some (_, best) when best.e_last_used <= e.e_last_used -> acc
-            | _ -> Some (h, e))
-          acc es)
-      s.tbl None
-  in
-  match victim with
-  | None -> ()
-  | Some (h, e) ->
-      remove_entry_locked s ~h e;
-      s.st.evictions <- s.st.evictions + 1;
-      if !Mx.enabled then Mx.inc (Lazy.force m_evictions)
-
-(* caller holds [s.mu]. Dedupes against a racing insert of the same
-   key: the first store wins and later ones return its entry, so the
-   cache never holds two entries for one canonical query. *)
-let store_locked t s ~(h : int) ~(key : A.query) ~(ann : Planner.Annotation.t)
-    ~(binds : int) ~(tables : string list) ~(epochs : (string * int) list) :
-    entry =
-  let bucket =
-    match Hashtbl.find_opt s.tbl h with None -> [] | Some es -> es
-  in
-  match List.find_opt (fun e -> e.e_key = key) bucket with
-  | Some e ->
-      e.e_last_used <- tick s;
-      e
-  | None ->
-      while s.entries >= t.shard_capacity do
-        evict_lru_locked s
-      done;
-      let e =
-        {
-          e_key = key;
-          e_ann = ann;
-          e_binds = binds;
-          e_tables = tables;
-          e_epochs = epochs;
-          e_last_used = tick s;
-          e_words = 0;
-        }
-      in
-      let e = { e with e_words = Obj.reachable_words (Obj.repr e) } in
-      (* re-read: eviction may have dropped the whole bucket *)
-      let bucket =
-        match Hashtbl.find_opt s.tbl h with None -> [] | Some es -> es
-      in
-      Hashtbl.replace s.tbl h (e :: bucket);
-      s.words <- s.words + e.e_words;
-      s.entries <- s.entries + 1;
-      e
-
-(** Insert a fresh entry, evicting this shard down to capacity first.
+(** Insert a fresh entry, evicting its shard down to capacity first.
     Returns the stored entry — which is the {e winning} entry if
     another domain raced the same key in first. *)
 let store t ~(h : int) ~(key : A.query) ~(ann : Planner.Annotation.t)
     ~(binds : int) ~(tables : string list) ~(epochs : (string * int) list) :
     entry =
-  with_shard t h (fun s -> store_locked t s ~h ~key ~ann ~binds ~tables ~epochs)
+  Lru.add ~on_evict:count_eviction t.lru ~h key (fun () ->
+      {
+        e_key = key;
+        e_ann = ann;
+        e_binds = binds;
+        e_tables = tables;
+        e_epochs = epochs;
+      })
 
 (** Replace [old_e] (same hash bucket) with a recompiled entry.
     Tolerates [old_e] having been evicted or replaced concurrently —
     the result is the entry now live for the key. *)
 let replace t ~(h : int) ~(old_e : entry) ~(ann : Planner.Annotation.t)
     ~(epochs : (string * int) list) : entry =
-  with_shard t h (fun s ->
-      remove_entry_locked s ~h old_e;
-      store_locked t s ~h ~key:old_e.e_key ~ann ~binds:old_e.e_binds
-        ~tables:old_e.e_tables ~epochs)
+  Lru.replace ~on_evict:count_eviction t.lru ~h ~old:old_e old_e.e_key
+    (fun () -> { old_e with e_ann = ann; e_epochs = epochs })
 
-let count_invalidation t ~(h : int) =
-  with_shard t h (fun s -> s.st.invalidations <- s.st.invalidations + 1)
+(** [h] names the probe's hash like every other operation; the count
+    itself is one atomic add. *)
+let count_invalidation t ~h:(_ : int) = Atomic.incr t.invalidations
 
 (** Refresh a revalidated entry's epoch snapshot under its shard lock,
     so a concurrent reader never observes a half-published snapshot
     list. *)
 let refresh_epochs t ~(h : int) (e : entry) ~(epochs : (string * int) list) =
-  with_shard t h (fun _ -> e.e_epochs <- epochs)
+  Lru.exclusive t.lru ~h (fun () -> e.e_epochs <- epochs)
 
 (** Push the footprint gauges to the registry (report-time; the
     hot path never pays the shard sweep). *)
 let publish_metrics t =
   if !Mx.enabled then begin
-    Mx.set (Lazy.force m_words) (float_of_int (memory_words t));
-    Mx.set (Lazy.force m_entries) (float_of_int (length t))
+    let s = Lru.stats t.lru in
+    Mx.set (Lazy.force m_words) (float_of_int s.words);
+    Mx.set (Lazy.force m_entries) (float_of_int s.entries)
   end
 
 (** Force the cached registry handles (see {!Service.prewarm}). *)
@@ -314,15 +139,3 @@ let hit_rate t =
   let st = stats t in
   let total = st.hits + st.misses in
   if total = 0 then 0. else float_of_int st.hits /. float_of_int total
-
-let pp_stats ppf t =
-  let st = stats t in
-  let total = st.hits + st.misses in
-  let rate =
-    if total = 0 then 0. else float_of_int st.hits /. float_of_int total
-  in
-  Fmt.pf ppf
-    "entries %d, hits %d, misses %d (hit rate %.2f), evictions %d, \
-     invalidations %d, collisions %d, ~%d words"
-    (length t) st.hits st.misses rate st.evictions st.invalidations
-    st.collisions (memory_words t)

@@ -138,8 +138,8 @@ type t = {
   mutable soft_s : float;  (** total soft-parse seconds *)
   mutable hard_parses : int;
   mutable hard_s : float;  (** total hard-parse seconds *)
-  store : Qs.t;
-      (** per-Generic-fingerprint workload repository (AWR-style):
+  store : A.query Qs.t;
+      (** per-query-shape workload repository (AWR-style):
           execution counts, latency histograms, meter totals,
           transformation outcomes and Q-error per query shape *)
   meter_tot : int array;
@@ -302,7 +302,9 @@ type resolved = {
   rs_outcome : outcome;
   rs_parse_s : float;
   rs_fp : int;  (** Generic fingerprint hash *)
-  rs_key : A.query;  (** canonical parameterized query *)
+  rs_key : A.query;
+      (** canonical parameterized query: the cache entry's own [e_key],
+          so the query store verifies it by physical equality *)
   rs_report : D.report option;
 }
 
@@ -312,7 +314,7 @@ let resolve t (peeked : A.query) : resolved =
   let t0 = Unix.gettimeofday () in
   let key = Fp.canonical ~mode:Fp.Generic peeked in
   let h = Fp.hash ~mode:Fp.Generic key in
-  let finish outcome ?report ann =
+  let finish outcome ?report (e : Plan_cache.entry) =
     let dt = Unix.gettimeofday () -. t0 in
     (match outcome with
     | Hit ->
@@ -334,11 +336,11 @@ let resolve t (peeked : A.query) : resolved =
             | Revalidated -> m_oc_reval))
      end);
     {
-      rs_ann = ann;
+      rs_ann = e.Plan_cache.e_ann;
       rs_outcome = outcome;
       rs_parse_s = dt;
       rs_fp = h;
-      rs_key = key;
+      rs_key = e.Plan_cache.e_key;
       rs_report = report;
     }
   in
@@ -346,7 +348,7 @@ let resolve t (peeked : A.query) : resolved =
       let r =
         match Plan_cache.find t.cache ~h ~key with
         | Some e when epochs_current t e.Plan_cache.e_epochs ->
-            finish Hit e.Plan_cache.e_ann
+            finish Hit e
         | Some e ->
             (* stale stats epoch: lazy recompilation *)
             Plan_cache.count_invalidation t.cache ~h;
@@ -363,10 +365,10 @@ let resolve t (peeked : A.query) : resolved =
               (* cost-delta guard: the refreshed statistics do not move
                  the estimate enough to justify plan churn *)
               Plan_cache.refresh_epochs t.cache ~h e ~epochs;
-              finish Revalidated ~report e.Plan_cache.e_ann)
+              finish Revalidated ~report e)
             else
               let e' = Plan_cache.replace t.cache ~h ~old_e:e ~ann ~epochs in
-              finish Invalidated ~report e'.Plan_cache.e_ann
+              finish Invalidated ~report e'
         | None ->
             let res = compile t peeked in
             let ann = res.D.res_annotation in
@@ -378,7 +380,7 @@ let resolve t (peeked : A.query) : resolved =
                 ~binds:(Fp.binds_count peeked) ~tables
                 ~epochs:(epochs_of t tables)
             in
-            finish Miss ~report:res.D.res_report e.Plan_cache.e_ann
+            finish Miss ~report:res.D.res_report e
       in
       Tr.add_attrs sp
         [
@@ -520,7 +522,7 @@ let exec_ir t (q : A.query) (binds : Value.t list) : exec_result =
        | None -> []
      in
      ignore
-       (Qs.observe t.store ~txs ~qerrs ~fp:rs.rs_fp
+       (Qs.observe t.store ~txs ~qerrs ~fp:rs.rs_fp ~key:rs.rs_key
           ~dop:es.Exec.Executor.es_dop
           ~parts_scanned:es.Exec.Executor.es_parts_scanned
           ~parts_pruned:es.Exec.Executor.es_parts_pruned

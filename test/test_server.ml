@@ -14,7 +14,8 @@
       deadline, every submitted request resolves to exactly one outcome
       and the pool's accounting identity holds.
     - Shared-store / shared-cache accounting: concurrent observes are
-      conserved exactly (no lost updates). *)
+      conserved exactly (no lost updates), and {!Concur.Lru} keeps its
+      bound and balances its counters while evicting under contention. *)
 
 module QG = Workload.Query_gen
 module SG = Workload.Schema_gen
@@ -315,7 +316,7 @@ let test_store_concurrent_exactness () =
         Domain.spawn (fun () ->
             for i = 0 to per_domain - 1 do
               ignore
-                (Qs.observe store ~fp:(i mod fps)
+                (Qs.observe store ~fp:(i mod fps) ~key:(i mod fps)
                    ~text:(fun () -> Printf.sprintf "q%d" (i mod fps))
                    ~outcome:(if i mod 3 = 0 then "miss" else "hit")
                    ~rows:2 ~exec_s:1e-6 ~parse_s:1e-7 ~meter_names:names
@@ -370,11 +371,53 @@ let test_cache_accounting_under_contention () =
     true
     (Pc.length cache <= distinct);
   Alcotest.(check bool) "memory accounted" true (Pc.memory_words cache > 0);
-  (* drain every entry out through replace-free removal: evict to zero
-     by creating pressure is indirect; instead verify the invariant the
-     accounting must satisfy: words is the sum over live entries *)
   let st = Pc.stats cache in
   Alcotest.(check int) "no evictions in a roomy cache" 0 st.Pc.evictions
+
+(* 4 domains probe 40 keys through an 8-entry, 4-shard LRU, inserting
+   on every miss, so shards evict under contention. Keys share hashes
+   (40 keys on 12 hashes), so probes also skip colliding entries. After
+   the join the bound holds and every counter balances exactly. *)
+let test_lru_concurrent_eviction () =
+  let module Lru = Concur.Lru in
+  let lru = Lru.create ~capacity:8 ~shards:4 in
+  let domains = 4 and per_domain = 2000 and keys = 40 in
+  let inserts = Atomic.make 0 and wrong = Atomic.make 0 in
+  let value k = Printf.sprintf "v%d" k ^ String.make k '.' in
+  let ds =
+    Array.init domains (fun d ->
+        Domain.spawn (fun () ->
+            for i = 0 to per_domain - 1 do
+              let k = ((i * 7) + (d * 13)) mod keys in
+              let key = Printf.sprintf "k%d" k and h = k mod 12 in
+              match Lru.find lru ~h key with
+              | Some v -> if v <> value k then Atomic.incr wrong
+              | None ->
+                  ignore
+                    (Lru.add lru ~h key (fun () ->
+                         Atomic.incr inserts;
+                         value k))
+            done))
+  in
+  Array.iter Domain.join ds;
+  let st = Lru.stats lru and live = Lru.values lru in
+  Alcotest.(check int) "probes return their own key's value" 0
+    (Atomic.get wrong);
+  Alcotest.(check int) "length matches the live values" st.Lru.entries
+    (List.length live);
+  Alcotest.(check bool)
+    (Printf.sprintf "bounded (%d <= 8)" st.Lru.entries)
+    true (st.Lru.entries <= 8);
+  Alcotest.(check int) "hits + misses = probes" (domains * per_domain)
+    (st.Lru.hits + st.Lru.misses);
+  Alcotest.(check int) "evictions = inserts - length"
+    (Atomic.get inserts - st.Lru.entries)
+    st.Lru.evictions;
+  Alcotest.(check int) "words = sum over live entries"
+    (List.fold_left
+       (fun acc v -> acc + Obj.reachable_words (Obj.repr v))
+       0 live)
+    st.Lru.words
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: concurrent service execs conserve store counts               *)
@@ -446,6 +489,8 @@ let () =
             test_store_concurrent_exactness;
           Alcotest.test_case "cache accounting under contention" `Quick
             test_cache_accounting_under_contention;
+          Alcotest.test_case "lru eviction under contention" `Quick
+            test_lru_concurrent_eviction;
         ] );
       ("properties", [ to_alco prop_concurrent_execs_conserved ]);
     ]

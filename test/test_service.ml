@@ -331,6 +331,48 @@ let test_query_store_bounded () =
     (Qs.length store <= 4);
   Alcotest.(check bool) "evictions counted" true (Qs.evictions store > 0)
 
+(* two shapes whose fingerprints collide keep separate entries: the
+   store verifies the canonical key, not just its hash *)
+let test_query_store_collision () =
+  let store = Qs.create () in
+  let names = [| "work" |] in
+  let observe key =
+    ignore
+      (Qs.observe store ~fp:42 ~key ~text:(fun () -> key) ~outcome:"miss"
+         ~rows:1 ~exec_s:0. ~parse_s:0. ~meter_names:names ~meter:[| 1 |]
+         ~vec_pipelines:0 ~row_pipelines:1)
+  in
+  List.iter observe [ "SELECT a"; "SELECT b"; "SELECT c"; "SELECT a" ];
+  let execs =
+    List.sort compare
+      (List.map (fun e -> (e.Qs.qe_text, e.Qs.qe_execs)) (Qs.entries store))
+  in
+  Alcotest.(check (list (pair string int)))
+    "one entry per shape"
+    [ ("SELECT a", 2); ("SELECT b", 1); ("SELECT c", 1) ]
+    execs
+
+(* an entry accumulates meters positionally, so a caller whose field
+   names differ from the entry's is refused *)
+let test_query_store_meter_names () =
+  let store = Qs.create () in
+  let observe names =
+    ignore
+      (Qs.observe store ~fp:7 ~key:"q" ~text:(fun () -> "q") ~outcome:"hit"
+         ~rows:0 ~exec_s:0. ~parse_s:0. ~meter_names:names ~meter:[| 1 |]
+         ~vec_pipelines:0 ~row_pipelines:0)
+  in
+  observe [| "work" |];
+  observe [| "work" |];
+  Alcotest.check_raises "different meter names"
+    (Invalid_argument
+       "Query_store.observe: meter fields differ from the entry's")
+    (fun () -> observe [| "rows" |]);
+  match Qs.entries store with
+  | [ e ] ->
+      Alcotest.(check int) "refused observation not counted" 2 e.Qs.qe_execs
+  | es -> Alcotest.failf "%d entries, expected 1" (List.length es)
+
 let test_registry_wiring () =
   Mx.reset Mx.default;
   let svc = run_workload ~config:Svc.default_config ~n:10 ~passes:2 ~seed:13 in
@@ -414,6 +456,10 @@ let () =
             test_query_store_accounting;
           Alcotest.test_case "query-store bounded" `Quick
             test_query_store_bounded;
+          Alcotest.test_case "query-store collision" `Quick
+            test_query_store_collision;
+          Alcotest.test_case "query-store meter names" `Quick
+            test_query_store_meter_names;
           Alcotest.test_case "registry wiring" `Quick test_registry_wiring;
           Alcotest.test_case "metrics off" `Quick test_metrics_off;
         ] );
