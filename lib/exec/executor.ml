@@ -1532,23 +1532,26 @@ and prepare_exchange ctx scopes child dop =
       in
       breaker (fun orows ->
           let module Iset = Set.Make (Int) in
+          (* pruning evaluated once per execution, per scan: the
+             survivors give both the task set and the partition counts *)
+          let survivors =
+            List.map
+              (fun (ps, pr) -> (ps, Prune.survivors_runtime ~binds ps pr))
+              specs
+          in
           let tasks =
             Iset.elements
               (List.fold_left
-                 (fun acc (ps, pr) ->
-                   List.fold_left
-                     (fun acc i -> Iset.add i acc)
-                     acc
-                     (Prune.survivors_runtime ~binds ps pr))
-                 Iset.empty specs)
+                 (fun acc (_, surv) ->
+                   List.fold_left (fun acc i -> Iset.add i acc) acc surv)
+                 Iset.empty survivors)
           in
-          (* pruning accounted once per execution, per scan *)
           List.iter
-            (fun (ps, pr) ->
-              let s = List.length (Prune.survivors_runtime ~binds ps pr) in
+            (fun (ps, surv) ->
+              let s = List.length surv in
               count_parts ctx.estats ~scanned:s
                 ~pruned:(ps.Catalog.ps_n - s))
-            specs;
+            survivors;
           if tasks <> [] then
             observe_dop ctx.estats (max 1 (min dop (List.length tasks)));
           let results = Exchange.run_tasks ~dop ~tasks ~f:(run_task orows) in

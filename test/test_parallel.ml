@@ -1,6 +1,10 @@
 (** Partitioned parallel execution: the determinism bar and the pruning
     soundness rules.
 
+    - {!Exec.Exchange.run_tasks} on its own: helper domains are reused
+      across calls, results equal the sequential map, the first failing
+      task in task order is re-raised only after every task ran, and
+      concurrent callers and nested fan-outs complete.
     - QCheck differential suite: every generated workload query,
       optimized against databases partitioned at {1, 4, 16}, must
       return {e bit-identical} rows (same order, not just the same bag)
@@ -68,6 +72,123 @@ let gen_query =
     QCheck.Gen.(pair (oneofl all_classes) (int_bound 100000))
 
 let rows_of rows = List.map Array.to_list rows
+
+(* ------------------------------------------------------------------ *)
+(* Exchange.run_tasks: the pool contract                                *)
+(* ------------------------------------------------------------------ *)
+
+module Ex = Exec.Exchange
+
+(* burn roughly [n] additions: a task slow enough that others overtake it *)
+let spin n =
+  let r = ref 0 in
+  for i = 1 to n do
+    r := !r + i
+  done;
+  ignore (Sys.opaque_identity !r)
+
+(* Must run before anything else in this process asks for a larger pool:
+   at dop 2 only the caller and one helper ever run tasks, however many
+   calls are made. A domain spawned per call would show ~400 ids. *)
+let test_run_tasks_reuse () =
+  Exec.Cursor.prewarm_metrics ();
+  let seen = Hashtbl.create 8 in
+  for _ = 1 to 200 do
+    Ex.run_tasks ~dop:2 ~tasks:(List.init 8 Fun.id) ~f:(fun _ ->
+        (Domain.self () :> int))
+    |> List.iter (fun (_, d) -> Hashtbl.replace seen d ())
+  done;
+  let n = Hashtbl.length seen in
+  if n > 2 then Alcotest.failf "200 dop-2 calls ran on %d distinct domains" n
+
+let test_run_tasks_sequential () =
+  let f t = (t * 7919) lxor (t lsr 1) in
+  List.iter
+    (fun dop ->
+      List.iter
+        (fun n ->
+          let tasks = List.init n (fun i -> (2 * i) + 1) in
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "dop %d, %d tasks" dop n)
+            (List.map (fun t -> (t, f t)) tasks)
+            (Ex.run_tasks ~dop ~tasks ~f))
+        [ 0; 1; 3; 8; 17 ])
+    [ 1; 2; 3; 4 ]
+
+(* Tasks 3 and 5 raise different exceptions; task 3 is slow, so task 5
+   usually fails first in time, and tasks 6 and 7 are slower still. The
+   raise must name task 3 and, on the parallel path, wait for every
+   task. At dop 1 the tasks run inline and stop at task 3. *)
+let test_run_tasks_exceptions () =
+  let finished = Atomic.make 0 in
+  let f t =
+    if t = 3 then spin 200_000;
+    if t >= 6 then spin 2_000_000;
+    Atomic.incr finished;
+    if t = 3 then raise Not_found;
+    if t = 5 then failwith "task 5";
+    t
+  in
+  let tasks = List.init 8 Fun.id in
+  List.iter
+    (fun dop ->
+      Atomic.set finished 0;
+      (match Ex.run_tasks ~dop ~tasks ~f with
+      | _ -> Alcotest.failf "dop %d: no exception re-raised" dop
+      | exception Not_found -> ()
+      | exception e ->
+          Alcotest.failf "dop %d: re-raised %s, not task 3's Not_found" dop
+            (Printexc.to_string e));
+      Alcotest.(check int)
+        (Printf.sprintf "dop %d: tasks run before the raise" dop)
+        (if dop = 1 then 4 else 8)
+        (Atomic.get finished);
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "dop %d: the next call is correct" dop)
+        (List.map (fun t -> (t, t * t)) tasks)
+        (Ex.run_tasks ~dop ~tasks ~f:(fun t -> t * t)))
+    [ 1; 2; 3; 4 ]
+
+let test_run_tasks_concurrent () =
+  let caller d () =
+    List.for_all
+      (fun i ->
+        let dop = 2 + ((i + d) mod 3) in
+        let tasks = List.init (1 + (((i * 7) + d) mod 17)) (fun k -> k * 3) in
+        let f t = (t * t) + d in
+        Ex.run_tasks ~dop ~tasks ~f = List.map (fun t -> (t, f t)) tasks)
+      (List.init 100 Fun.id)
+  in
+  let doms = List.init 4 (fun d -> Domain.spawn (caller d)) in
+  List.iteri
+    (fun d dom ->
+      Alcotest.(check bool)
+        (Printf.sprintf "caller domain %d: every result correct" d)
+        true (Domain.join dom))
+    doms
+
+let test_run_tasks_nested () =
+  let inner t =
+    Ex.run_tasks ~dop:2 ~tasks:(List.init (t + 1) Fun.id) ~f:(fun u -> u + t)
+    |> List.fold_left (fun acc (_, v) -> acc + v) 0
+  in
+  let tasks = List.init 6 Fun.id in
+  Alcotest.(check (list (pair int int)))
+    "a task that fans out itself completes"
+    (List.map (fun t -> (t, inner t)) tasks)
+    (Ex.run_tasks ~dop:3 ~tasks ~f:inner)
+
+(* every claimed task observes the tasks still unclaimed behind it *)
+let test_run_tasks_queue_depth () =
+  let h =
+    Obs.Metrics.histogram Obs.Metrics.default "exec_exchange_queue_depth"
+  in
+  let c0 = Obs.Metrics.hist_count h and s0 = Obs.Metrics.hist_sum h in
+  ignore (Ex.run_tasks ~dop:2 ~tasks:(List.init 8 Fun.id) ~f:Fun.id);
+  Alcotest.(check int) "one observation per task" 8
+    (Obs.Metrics.hist_count h - c0);
+  Alcotest.(check (float 1e-9)) "depths 7 + 6 + ... + 0" 28.
+    (Obs.Metrics.hist_sum h -. s0)
 
 (* ------------------------------------------------------------------ *)
 (* Differential: serial == parallel == baseline at every DOP            *)
@@ -476,6 +597,20 @@ let test_two_phase_agg () =
 let () =
   Alcotest.run "parallel"
     [
+      (* first: the reuse test needs a pool no larger than one helper *)
+      ( "run_tasks",
+        [
+          Alcotest.test_case "domain reuse" `Quick test_run_tasks_reuse;
+          Alcotest.test_case "sequential results" `Quick
+            test_run_tasks_sequential;
+          Alcotest.test_case "exception contract" `Quick
+            test_run_tasks_exceptions;
+          Alcotest.test_case "concurrent callers" `Quick
+            test_run_tasks_concurrent;
+          Alcotest.test_case "nested fan-out" `Quick test_run_tasks_nested;
+          Alcotest.test_case "queue depth histogram" `Quick
+            test_run_tasks_queue_depth;
+        ] );
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_parallel_differential;
