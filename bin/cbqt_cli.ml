@@ -380,9 +380,11 @@ let run_cmd =
                  q)
                 .an_plan
         in
-        let plan = Planner.Parallel.apply db.Storage.Db.cat ~dop plan in
+        (* the same executable form a served query runs *)
+        let { Service.Plan_cache.x_plan = plan; x_card_of = card_of } =
+          Service.Plan_cache.executable db.Storage.Db.cat ~dop plan
+        in
         let meter = Exec.Meter.create () in
-        let card_of = Planner.Plan_est.pipeline_hints db.Storage.Db.cat plan in
         let es = Exec.Executor.engine_stats_create () in
         let _, rows, _ =
           Exec.Executor.execute ~meter ~batch_size ~engine ~engine_stats:es

@@ -61,13 +61,6 @@ let q_error ~est ~act =
   let est = Float.max 1. est and act = Float.max 1. act in
   Float.max (est /. act) (act /. est)
 
-module Ptbl = Hashtbl.Make (struct
-  type t = Plan.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
 (** Execute [plan] against [db] and build the per-operator report. The
     planner's cardinality estimates double as the executor's [card_of]
     hints, so the hybrid engine choice reported here is the one a
@@ -80,7 +73,7 @@ let analyze ?meter ?engine (db : Db.t) (plan : Plan.t) : t =
     Executor.execute_analyzed ?meter ?engine ~engine_stats:es ~card_of:est_of
       db plan
   in
-  let visited : unit Ptbl.t = Ptbl.create 64 in
+  let visited : unit Executor.Ptbl.t = Executor.Ptbl.create 64 in
   let ops = ref [] in
   (* partitioned scans carry the costed pruning decision in the label:
      statically estimated surviving partitions over the total *)
@@ -101,8 +94,8 @@ let analyze ?meter ?engine (db : Db.t) (plan : Plan.t) : t =
     | _ -> base
   in
   let rec walk depth p =
-    let first = not (Ptbl.mem visited p) in
-    if first then Ptbl.add visited p ();
+    let first = not (Executor.Ptbl.mem visited p) in
+    if first then Executor.Ptbl.add visited p ();
     let stat = stat_of p in
     let calls, total_rows =
       if not first then (0, 0)
@@ -123,7 +116,7 @@ let analyze ?meter ?engine (db : Db.t) (plan : Plan.t) : t =
                consumed by its first parent only *)
             List.iter
               (fun c ->
-                if not (Ptbl.mem visited c) then
+                if not (Executor.Ptbl.mem visited c) then
                   match stat_of c with
                   | Some cst ->
                       Meter.add m

@@ -198,7 +198,9 @@ type ctx = {
   engine : engine;
   card_of : Plan.t -> float option;
       (** planner cardinality hint per plan node (physical identity);
-          [None] falls back to the table's actual cardinality *)
+          [None] falls back to the table's actual cardinality. Must be a
+          pure lookup that any domain may call: exchange tasks inherit
+          it unchanged. *)
   vector_threshold : float;
       (** [Auto] vectorizes a pipeline whose source-scan cardinality
           estimate reaches this *)

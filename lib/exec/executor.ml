@@ -1469,7 +1469,8 @@ and prepare_aggregate ctx scopes child keys args ~sorted ~finish =
    context: its own meter, its own analyze table, [restrict = Some t]
    so every partitioned scan reads only partition [t], and the row
    engine forced (the columnar image cache is not domain-safe; row and
-   vector are meter-equal, so the choice is unobservable). The
+   vector are meter-equal, so the choice is unobservable). It keeps the
+   parent's [card_of], which the forced Row engine never reads. The
    coordinator merges in ascending task order: rows concatenate, task
    meters [Meter.add] into the parent (commutative integer sums), task
    node stats fold into the parent's analyze table keyed by the shared
@@ -1496,18 +1497,6 @@ and prepare_exchange ctx scopes child dop =
                      table))
           scans
       in
-      (* freeze the planner's cardinality hints for the subtree before
-         any domain is spawned: the hint source may memoize internally
-         and must not be raced *)
-      let frozen = Ptbl.create 32 in
-      let rec freeze p =
-        if not (Ptbl.mem frozen p) then begin
-          Ptbl.replace frozen p (ctx.card_of p);
-          List.iter freeze (Plan.children p)
-        end
-      in
-      freeze child;
-      let fcard p = Option.join (Ptbl.find_opt frozen p) in
       let binds = ctx.binds in
       let run_task orows t =
         let m = Meter.create () in
@@ -1521,7 +1510,6 @@ and prepare_exchange ctx scopes child dop =
             ctx with
             meter = m;
             analyze = tbl;
-            card_of = fcard;
             engine = Row;
             estats = None;
             restrict = Some t;

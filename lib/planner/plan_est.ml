@@ -22,22 +22,16 @@ module Info = Cost.Info
 module Sel = Cost.Selectivity
 module Plan = Exec.Plan
 
-module Ptbl = Hashtbl.Make (struct
-  type t = Plan.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
 let cols_as_exprs (info : Info.rel_info) : A.expr list =
   List.map (fun ((a, c), _) -> A.col a c) info.Info.ri_cols
 
 (* estimated rows + column statistics of one node, memoizing per
    physical identity so shared subtrees are walked once *)
-let rec est (cat : Catalog.t) (tbl : float Ptbl.t) (p : Plan.t) :
-    Info.rel_info =
+let rec est (cat : Catalog.t) (tbl : float Exec.Executor.Ptbl.t)
+    (p : Plan.t) : Info.rel_info =
   let info = est_node cat tbl p in
-  if not (Ptbl.mem tbl p) then Ptbl.add tbl p info.Info.ri_rows;
+  if not (Exec.Executor.Ptbl.mem tbl p) then
+    Exec.Executor.Ptbl.add tbl p info.Info.ri_rows;
   info
 
 and est_node cat tbl (p : Plan.t) : Info.rel_info =
@@ -271,9 +265,9 @@ and est_node cat tbl (p : Plan.t) : Info.rel_info =
     output rows per invocation. *)
 let estimate (cat : Catalog.t) (plan : Plan.t) :
     float * (Plan.t -> float option) =
-  let tbl = Ptbl.create 64 in
+  let tbl = Exec.Executor.Ptbl.create 64 in
   let root = est cat tbl plan in
-  (root.Info.ri_rows, fun p -> Ptbl.find_opt tbl p)
+  (root.Info.ri_rows, fun p -> Exec.Executor.Ptbl.find_opt tbl p)
 
 (** Per-node cardinality hints for the executor's hybrid engine choice:
     estimated output rows per invocation, keyed by physical identity —

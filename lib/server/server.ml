@@ -7,8 +7,7 @@
     cursor cache concurrently. The pieces:
 
     - {b Sessions} ({!session}) carry client state: an id, default
-      binds, an optional engine choice overriding the pool default, and
-      per-session outcome counters.
+      binds and per-session outcome counters.
     - {b One bounded MPMC request queue} ({!Concur.Chan}) feeds {b N domain
       workers} ([Domain.spawn] each). Admission control is explicit:
       a full queue {e rejects} immediately ([Rejected] — the client can
@@ -22,15 +21,16 @@
     - {b Shared plan cache and query store}: all workers' services are
       created over one sharded {!Service.Plan_cache} and
       {!Obs.Query_store}, so a hard parse by any worker is a soft parse
-      for every other — the whole point of the shared server. Catalog
-      stats epochs publish through an atomic map
-      ({!Catalog.epochs_snapshot}), so a stats refresh during traffic
-      invalidates cleanly across workers.
-    - {b Everything else is per-worker}: each worker owns its services
-      (one per engine variant a session demands), whose parse counters,
-      hint memos and meter accumulators stay single-domain. Pool-level
-      reporting merges the per-worker reports and snapshots the shared
-      cache once.
+      for every other — the whole point of the shared server. Each cache
+      entry also holds the executable plan (DOP rewrite and engine
+      hints) that every worker runs; all workers share one service
+      config, hence one DOP. Catalog stats epochs publish through an
+      atomic map ({!Catalog.epochs_snapshot}), so a stats refresh during
+      traffic invalidates cleanly across workers.
+    - {b Everything else is per-worker}: each worker owns one service,
+      created with the pool, whose parse counters, engine stats and
+      meter accumulators stay single-domain. Pool-level reporting merges
+      the per-worker reports and snapshots the shared cache once.
 
     Before spawning, {!create} calls {!Service.prewarm}: the service
     layer caches its registry handles in [lazy] cells, and concurrent
@@ -119,8 +119,6 @@ type session_stats = {
 
 type session = {
   se_id : int;
-  se_engine : Exec.Executor.engine option;
-      (** engine override for this session; [None] = pool default *)
   se_binds : Value.t list;  (** default bind vector *)
   se_stats : session_stats;
 }
@@ -154,22 +152,16 @@ let default_config =
     svc = Svc.default_config;
   }
 
-(** One worker's single-domain state. [w_services] is touched only by
-    the owning domain (and by reporting after the pool is drained). *)
-type worker = {
-  w_id : int;
-  mutable w_services : (Exec.Executor.engine * Svc.t) list;
-      (** one service per engine variant sessions demanded, all over
-          the shared cache and store *)
-}
-
 type t = {
   cfg : config;
   db : Db.t;
   cache : Pc.t;  (** shared, sharded *)
   store : A.query Qs.t;  (** shared, sharded *)
   queue : request Concur.Chan.t;
-  workers : worker array;
+  services : Svc.t array;
+      (** one per worker, over the shared cache and store; each is
+          touched only by its worker's domain (and by reporting after
+          the pool is drained) *)
   mutable domains : unit Domain.t array;
   next_session : int Atomic.t;
   (* pool accounting: every submitted request ends in exactly one of
@@ -186,23 +178,7 @@ type t = {
           publication, under [pub_mu]) *)
 }
 
-(** The worker's service for [engine] (pool default when [None]),
-    created on first use over the shared cache and store. *)
-let service_for t (w : worker) (engine : Exec.Executor.engine option) : Svc.t =
-  let engine = Option.value ~default:t.cfg.svc.Svc.engine engine in
-  match List.assoc_opt engine w.w_services with
-  | Some svc -> svc
-  | None ->
-      let svc =
-        Svc.create
-          ~config:{ t.cfg.svc with Svc.engine }
-          ~cache:t.cache ~store:t.store t.db
-      in
-      w.w_services <- (engine, svc) :: w.w_services;
-      svc
-
-let exec_request t (w : worker) (rq : request) : outcome =
-  let svc = service_for t w rq.rq_session.se_engine in
+let exec_request (svc : Svc.t) (rq : request) : outcome =
   match
     match rq.rq_stmt with
     | Ir q -> Svc.exec_ir svc q rq.rq_binds
@@ -222,7 +198,7 @@ let resolve_session (rq : request) (o : outcome) =
   | Timed_out -> Atomic.incr st.ss_timed_out);
   fulfill rq.rq_handle o
 
-let worker_loop t (w : worker) () =
+let worker_loop t (svc : Svc.t) () =
   let rec loop () =
     match Concur.Chan.pop t.queue with
     | None -> ()  (* closed and drained: exit *)
@@ -234,7 +210,7 @@ let worker_loop t (w : worker) () =
          end
          else begin
            Atomic.incr t.g_inflight;
-           let o = exec_request t w rq in
+           let o = exec_request svc rq in
            Atomic.decr t.g_inflight;
            (match o with
            | Done _ -> Atomic.incr t.c_done
@@ -255,15 +231,18 @@ let create ?(config = default_config) (db : Db.t) : t =
      domain can race a suspension *)
   Svc.prewarm ();
   let shards = 4 * config.workers in
+  let cache = Pc.create ~capacity:config.svc.Svc.capacity ~shards () in
+  let store = Qs.create ~capacity:config.svc.Svc.store_capacity ~shards () in
   let t =
     {
       cfg = config;
       db;
-      cache = Pc.create ~capacity:config.svc.Svc.capacity ~shards ();
-      store = Qs.create ~capacity:config.svc.Svc.store_capacity ~shards ();
+      cache;
+      store;
       queue = Concur.Chan.create ~capacity:config.queue_depth;
-      workers =
-        Array.init config.workers (fun i -> { w_id = i; w_services = [] });
+      services =
+        Array.init config.workers (fun _ ->
+            Svc.create ~config:config.svc ~cache ~store db);
       domains = [||];
       next_session = Atomic.make 0;
       c_submitted = Atomic.make 0;
@@ -277,20 +256,18 @@ let create ?(config = default_config) (db : Db.t) : t =
     }
   in
   t.domains <-
-    Array.map (fun w -> Domain.spawn (worker_loop t w)) t.workers;
+    Array.map (fun svc -> Domain.spawn (worker_loop t svc)) t.services;
   t
 
 let cache t = t.cache
 let query_store t = t.store
 let queue_length t = Concur.Chan.length t.queue
 
-(** Open a session. [engine] overrides the pool's execution engine for
-    this session's requests; [binds] is the default bind vector used
-    when a submission does not pass its own. *)
-let session ?engine ?(binds = []) t : session =
+(** Open a session. [binds] is the default bind vector used when a
+    submission does not pass its own. *)
+let session ?(binds = []) t : session =
   {
     se_id = Atomic.fetch_and_add t.next_session 1;
-    se_engine = engine;
     se_binds = binds;
     se_stats =
       {
@@ -351,11 +328,9 @@ let shutdown t =
   Array.iter Domain.join t.domains;
   t.domains <- [||]
 
-(** Every service the pool's workers created. Call only when the pool
-    is quiescent (after {!shutdown}, or with no traffic in flight). *)
-let services t : Svc.t list =
-  Array.to_list t.workers
-  |> List.concat_map (fun w -> List.map snd w.w_services)
+(** The workers' services, one per worker. Call only when the pool is
+    quiescent (after {!shutdown}, or with no traffic in flight). *)
+let services t : Svc.t list = Array.to_list t.services
 
 (* ------------------------------------------------------------------ *)
 (* Result digests                                                       *)

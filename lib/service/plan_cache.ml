@@ -20,7 +20,12 @@
     same new query are deduped at insert: [store] returns the entry
     that won, and the loser's plan is dropped rather than
     double-counted. The default [shards = 1] keeps one global LRU
-    order. *)
+    order.
+
+    Each entry also carries its {e executable form} ({!exec}): the
+    plan every execution actually runs, built by the first execution
+    and shared by every worker. It lives and dies with the entry, so
+    eviction and invalidation release it with the plan. *)
 
 open Sqlir
 module A = Ast
@@ -36,6 +41,20 @@ let m_evictions = lazy (Mx.counter Mx.default "plan_cache_evictions_total")
 let m_words = lazy (Mx.gauge Mx.default "plan_cache_memory_words")
 let m_entries = lazy (Mx.gauge Mx.default "plan_cache_entries")
 
+(** What an execution runs: the optimizer's plan after the
+    {!Planner.Parallel} post-pass, and the {!Planner.Plan_est} per-node
+    cardinality hints over that plan, which drive the executor's hybrid
+    engine choice. Immutable once built: [x_card_of] only reads a
+    finished table, so any domain may call it. *)
+type exec = { x_plan : Exec.Plan.t; x_card_of : Exec.Plan.t -> float option }
+
+(** Build the executable form of [plan] at degree-of-parallelism policy
+    [dop]. *)
+let executable (cat : Catalog.t) ~(dop : Planner.Parallel.dop)
+    (plan : Exec.Plan.t) : exec =
+  let x_plan = Planner.Parallel.apply cat ~dop plan in
+  { x_plan; x_card_of = Planner.Plan_est.pipeline_hints cat x_plan }
+
 type entry = {
   e_key : A.query;
       (** canonical ([Generic]) parameterized query — the verified part
@@ -46,6 +65,10 @@ type entry = {
   mutable e_epochs : (string * int) list;
       (** stats-epoch snapshot per table, refreshed on revalidation;
           mutated only under the owning shard's lock *)
+  e_exec : exec option Atomic.t;
+      (** executable form of [e_ann]'s plan, [None] until the first
+          execution builds it ({!exec_of}); write-once. Built after
+          insertion, so {!memory_words} does not count it. *)
 }
 
 type stats = {
@@ -100,6 +123,7 @@ let store t ~(h : int) ~(key : A.query) ~(ann : Planner.Annotation.t)
         e_binds = binds;
         e_tables = tables;
         e_epochs = epochs;
+        e_exec = Atomic.make None;
       })
 
 (** Replace [old_e] (same hash bucket) with a recompiled entry.
@@ -108,7 +132,21 @@ let store t ~(h : int) ~(key : A.query) ~(ann : Planner.Annotation.t)
 let replace t ~(h : int) ~(old_e : entry) ~(ann : Planner.Annotation.t)
     ~(epochs : (string * int) list) : entry =
   Lru.replace ~on_evict:count_eviction t.lru ~h ~old:old_e old_e.e_key
-    (fun () -> { old_e with e_ann = ann; e_epochs = epochs })
+    (fun () ->
+      { old_e with e_ann = ann; e_epochs = epochs; e_exec = Atomic.make None })
+
+(** The executable form of [e], built at [dop] by the first caller.
+    Racing first builds each compute one and the first published wins,
+    which is the rule {!store} applies to racing hard parses. Every
+    caller sharing the cache should therefore pass the same [dop]. *)
+let exec_of (e : entry) (cat : Catalog.t) ~(dop : Planner.Parallel.dop) :
+    exec =
+  match Atomic.get e.e_exec with
+  | Some x -> x
+  | None ->
+      let x = executable cat ~dop e.e_ann.Planner.Annotation.an_plan in
+      if Atomic.compare_and_set e.e_exec None (Some x) then x
+      else Option.get (Atomic.get e.e_exec)
 
 (** [h] names the probe's hash like every other operation; the count
     itself is one atomic add. *)

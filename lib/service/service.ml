@@ -21,8 +21,11 @@
       statistics moves the estimate by less than a threshold
       (refreshing the snapshot), avoiding plan churn on no-op stats
       refreshes;
-    + {b execute} the plan with the full bind vector (caller binds
-      followed by extracted literals) substituted at execution time.
+    + {b execute} the entry's executable form
+      ({!Plan_cache.exec_of}: the DOP post-pass plus the engine-choice
+      hints, built once per cache entry and shared by every service over
+      the cache) with the full bind vector (caller binds followed by
+      extracted literals) substituted at execution time.
 
     Every probe emits a [Cache] trace span carrying the outcome and
     parse timing, so a service trace validates and aggregates with the
@@ -63,7 +66,8 @@ type config = {
           wraps eligible partition-local regions in exchanges at degree
           [n], [Auto] sizes the degree from estimated scan volume and
           the machine's core count. Results and meter totals do not
-          depend on it. *)
+          depend on it. Applied once per cache entry, so services
+          sharing a cache share its DOP (see {!create}). *)
   metrics : bool;
       (** publish phase timers / cache outcomes to the process-wide
           {!Obs.Metrics.default} registry and accumulate the
@@ -122,16 +126,6 @@ type t = {
   cfg : config;
   cache : Plan_cache.t;
   tracer : Tr.t;
-  hints : (Exec.Plan.t -> float option) Exec.Executor.Ptbl.t;
-      (** per-cached-plan cardinality hints for the hybrid engine
-          choice, memoized by plan physical identity so the estimator
-          runs once per plan rather than once per execution *)
-  par_plans : Exec.Plan.t Exec.Executor.Ptbl.t;
-      (** memo of the {!Planner.Parallel} post-pass, keyed by the
-          cached plan's physical identity — the rewrite runs once per
-          cached plan, and every execution of a shape sees the {e same}
-          rewritten plan object (which is also what keeps the hint memo
-          and analyze-mode node keys stable) *)
   estats : Exec.Executor.engine_stats;
       (** pipeline engine choices accumulated over every execution *)
   mutable soft_parses : int;
@@ -211,8 +205,11 @@ let prewarm () =
     config; a concurrent server passes one {e shared} sharded plan
     cache and query store to all of its per-worker services, which is
     the only sharing the service layer needs — everything else in [t]
-    (parse counters, hint memo, engine stats, meter accumulators) is
-    single-domain state owned by one worker. *)
+    (parse counters, engine stats, meter accumulators) is single-domain
+    state owned by one worker. A cache entry's executable form is built
+    at the DOP of the first service that executes it, so services
+    sharing a [cache] must share one [config.dop]; {!Server} gives
+    every worker the same config. *)
 let create ?(config = default_config) ?cache ?store (db : Db.t) : t =
   {
     db;
@@ -222,8 +219,6 @@ let create ?(config = default_config) ?cache ?store (db : Db.t) : t =
       | Some c -> c
       | None -> Plan_cache.create ~capacity:config.capacity ());
     tracer = Tr.create config.trace;
-    hints = Exec.Executor.Ptbl.create 64;
-    par_plans = Exec.Executor.Ptbl.create 64;
     estats = Exec.Executor.engine_stats_create ();
     soft_parses = 0;
     soft_s = 0.;
@@ -248,34 +243,6 @@ let metrics_on t = t.cfg.metrics && !Mx.enabled
 let engine_stats t = t.estats
 (** Pipeline engine choices accumulated over every execution. *)
 
-(** Cardinality hints of [plan], estimated once per distinct (cached)
-    plan. The memo table is bounded alongside the plan cache: when
-    cache churn lets it outgrow the cache by 4x, it is rebuilt from
-    scratch rather than tracking evictions entry by entry. *)
-let hints_of t (plan : Exec.Plan.t) : Exec.Plan.t -> float option =
-  match Exec.Executor.Ptbl.find_opt t.hints plan with
-  | Some h -> h
-  | None ->
-      if Exec.Executor.Ptbl.length t.hints > 4 * t.cfg.capacity then
-        Exec.Executor.Ptbl.reset t.hints;
-      let h = Planner.Plan_est.pipeline_hints t.db.Db.cat plan in
-      Exec.Executor.Ptbl.add t.hints plan h;
-      h
-
-(** The degree-of-parallelism post-pass over a cached plan, memoized by
-    plan identity (same bounding policy as the hint memo). *)
-let par_plan_of t (plan : Exec.Plan.t) : Exec.Plan.t =
-  if t.cfg.dop = Planner.Parallel.Serial then plan
-  else
-    match Exec.Executor.Ptbl.find_opt t.par_plans plan with
-    | Some p -> p
-    | None ->
-        if Exec.Executor.Ptbl.length t.par_plans > 4 * t.cfg.capacity then
-          Exec.Executor.Ptbl.reset t.par_plans;
-        let p = Planner.Parallel.apply t.db.Db.cat ~dop:t.cfg.dop plan in
-        Exec.Executor.Ptbl.add t.par_plans plan p;
-        p
-
 (* both walk one consistent point-in-time view of the catalog's epoch
    map ([Catalog.epochs_snapshot] is the acquire side of the stats
    publication protocol), so a multi-table plan never records or
@@ -294,22 +261,22 @@ let epochs_current t (snapshot : (string * int) list) : bool =
 let compile t (peeked : A.query) : D.result =
   D.optimize ~config:t.cfg.driver t.db.Db.cat peeked
 
-(** How {!resolve} answered a probe: the annotation plus everything the
-    query store wants to know about the parse. [rs_report] is the hard
-    parse's optimizer report, [None] on a soft parse. *)
+(** How {!resolve} answered a probe: the live cache entry plus
+    everything the query store wants to know about the parse.
+    [rs_report] is the hard parse's optimizer report, [None] on a soft
+    parse. *)
 type resolved = {
-  rs_ann : Planner.Annotation.t;
+  rs_entry : Plan_cache.entry;
+      (** its [e_key] is the canonical parameterized query, so the query
+          store verifies it by physical equality *)
   rs_outcome : outcome;
   rs_parse_s : float;
   rs_fp : int;  (** Generic fingerprint hash *)
-  rs_key : A.query;
-      (** canonical parameterized query: the cache entry's own [e_key],
-          so the query store verifies it by physical equality *)
   rs_report : D.report option;
 }
 
-(** Resolve [peeked] (parameterized query with peeks in place) to an
-    annotation, going through the cache. *)
+(** Resolve [peeked] (parameterized query with peeks in place) to its
+    live cache entry, compiling on a miss or a stale snapshot. *)
 let resolve t (peeked : A.query) : resolved =
   let t0 = Unix.gettimeofday () in
   let key = Fp.canonical ~mode:Fp.Generic peeked in
@@ -336,11 +303,10 @@ let resolve t (peeked : A.query) : resolved =
             | Revalidated -> m_oc_reval))
      end);
     {
-      rs_ann = e.Plan_cache.e_ann;
+      rs_entry = e;
       rs_outcome = outcome;
       rs_parse_s = dt;
       rs_fp = h;
-      rs_key = e.Plan_cache.e_key;
       rs_report = report;
     }
   in
@@ -448,10 +414,11 @@ let exec_ir t (q : A.query) (binds : Value.t list) : exec_result =
   let peeked = Fp.peek_binds q user in
   let peeked, extracted = Fp.parameterize peeked in
   let rs = resolve t peeked in
-  let ann = rs.rs_ann in
+  let e = rs.rs_entry in
   let all_binds = Array.append user (Array.of_list extracted) in
-  let plan = par_plan_of t ann.Planner.Annotation.an_plan in
-  let card_of = hints_of t plan in
+  let { Plan_cache.x_plan = plan; x_card_of = card_of } =
+    Plan_cache.exec_of e t.db.Db.cat ~dop:t.cfg.dop
+  in
   let es = Exec.Executor.engine_stats_create () in
   let e0 = Unix.gettimeofday () in
   let layout, rows, meter, stat_of =
@@ -522,11 +489,11 @@ let exec_ir t (q : A.query) (binds : Value.t list) : exec_result =
        | None -> []
      in
      ignore
-       (Qs.observe t.store ~txs ~qerrs ~fp:rs.rs_fp ~key:rs.rs_key
+       (Qs.observe t.store ~txs ~qerrs ~fp:rs.rs_fp ~key:e.Plan_cache.e_key
           ~dop:es.Exec.Executor.es_dop
           ~parts_scanned:es.Exec.Executor.es_parts_scanned
           ~parts_pruned:es.Exec.Executor.es_parts_pruned
-          ~text:(fun () -> squeeze_ws (Pp.query_to_string rs.rs_key))
+          ~text:(fun () -> squeeze_ws (Pp.query_to_string e.Plan_cache.e_key))
           ~outcome:(outcome_name rs.rs_outcome)
           ~rows:nrows ~exec_s ~parse_s:rs.rs_parse_s
           ~meter_names:(Lazy.force meter_names) ~meter:vals
@@ -538,7 +505,7 @@ let exec_ir t (q : A.query) (binds : Value.t list) : exec_result =
     r_rows = rows;
     r_nrows = nrows;
     r_outcome = rs.rs_outcome;
-    r_cost = ann.Planner.Annotation.an_cost;
+    r_cost = e.Plan_cache.e_ann.Planner.Annotation.an_cost;
     r_parse_s = rs.rs_parse_s;
   }
 

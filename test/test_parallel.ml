@@ -25,6 +25,8 @@
       (against the serial plan) and meters (against {!Exec.Baseline}),
       keyed and keyless, including an exchange with every partition
       pruned.
+    - Engine-choice hints: under [Auto], exchange tasks never call the
+      caller's [card_of] from a helper domain.
     - Unit coverage for {!Planner.Access_path.derive_prune},
       {!Exec.Prune.survivors}, and the {!Planner.Parallel.apply}
       rewrite shapes (exchange over a chain, two-phase aggregation,
@@ -594,6 +596,61 @@ let test_two_phase_agg () =
     (exec_rows db4 (agg [] none)
     = [ [ V.Int 0; V.Int 0; V.Null; V.Null; V.Null; V.Null ] ])
 
+(* ------------------------------------------------------------------ *)
+(* Engine-choice hints under exchange tasks                             *)
+(* ------------------------------------------------------------------ *)
+
+let rec has_exchange p =
+  (match p with P.Exchange _ -> true | _ -> false)
+  || List.exists has_exchange (P.children p)
+
+(* Exchange tasks inherit the caller's [card_of] and force the Row
+   engine, so under [Auto] the hints are read only where the engine
+   choice is made outside the exchange: on the calling domain, never on
+   a helper. Rows equal the serial plan's (same order), meters equal the
+   same plan's at dop 1. *)
+let test_exchange_card_of_domain () =
+  let me = Domain.self () in
+  let calls = Atomic.make 0 and foreign = Atomic.make 0 in
+  let plans = ref 0 in
+  List.iter
+    (fun cls ->
+      for seed = 0 to 3 do
+        match
+          (D.optimize cat4 (query_of (cls, seed))).D.res_annotation
+            .Planner.Annotation.an_plan
+        with
+        | exception _ -> ()
+        | plan ->
+            let pp = Par.apply cat4 ~dop:(Par.Fixed 2) plan in
+            if has_exchange pp then begin
+              incr plans;
+              let hints = Planner.Plan_est.pipeline_hints cat4 pp in
+              let card_of p =
+                Atomic.incr calls;
+                if Domain.self () <> me then Atomic.incr foreign;
+                hints p
+              in
+              let what =
+                Printf.sprintf "%s seed %d" (QG.class_name cls) seed
+              in
+              let _, rows, m =
+                Exec.Executor.execute ~engine:Exec.Executor.Auto ~card_of db4 pp
+              in
+              let p1 = Par.apply cat4 ~dop:(Par.Fixed 1) plan in
+              let _, _, m1 = Exec.Executor.execute db4 p1 in
+              Alcotest.(check bool) (what ^ ": rows equal serial") true
+                (rows_of rows = exec_rows db4 plan);
+              Alcotest.(check (list (pair string int)))
+                (what ^ ": meter equals dop 1") (M.to_fields m1) (M.to_fields m)
+            end
+      done)
+    all_classes;
+  Alcotest.(check bool) "some plan has an exchange" true (!plans > 0);
+  Alcotest.(check bool) "hints consulted" true (Atomic.get calls > 0);
+  Alcotest.(check int) "no hint read on a helper domain" 0
+    (Atomic.get foreign)
+
 let () =
   Alcotest.run "parallel"
     [
@@ -639,5 +696,7 @@ let () =
             test_exchange_engine_stats;
           Alcotest.test_case "two-phase aggregation" `Quick
             test_two_phase_agg;
+          Alcotest.test_case "exchange hints stay on the caller" `Quick
+            test_exchange_card_of_domain;
         ] );
     ]

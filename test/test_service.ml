@@ -11,7 +11,9 @@
       probe (Invalidated or, under the cost-delta guard, Revalidated).
 
     Unit tests cover [:n] bind parsing, the bind-count guard, LRU
-    eviction, IR015 (negative bind index) and TX001 (over-copying). *)
+    eviction, the per-entry executable form (shared by services over
+    one cache, released on eviction), IR015 (negative bind index) and
+    TX001 (over-copying). *)
 
 module QG = Workload.Query_gen
 module SG = Workload.Schema_gen
@@ -212,6 +214,58 @@ let test_lru_eviction () =
   let r = exec_hr svc (List.hd shapes) [] in
   Alcotest.(check bool) "evicted shape misses" true
     (r.Svc.r_outcome = Svc.Miss)
+
+(* the live cache entry of [sql] (a counted probe) *)
+let entry_of svc sql =
+  let q = Sqlparse.Parser.parse_exn hr.Storage.Db.cat sql in
+  let peeked, _ = Fp.parameterize q in
+  let key = Fp.canonical ~mode:Fp.Generic peeked in
+  Pc.find (Svc.cache svc) ~h:(Fp.hash ~mode:Fp.Generic key) ~key
+
+let exec_form svc sql =
+  match entry_of svc sql with
+  | None -> Alcotest.failf "no cache entry for %s" sql
+  | Some e -> (
+      match Atomic.get e.Pc.e_exec with
+      | Some x -> x
+      | None -> Alcotest.failf "entry of %s has no executable form" sql)
+
+(* two services over one cache run the one executable form its entry
+   holds: the second service builds nothing of its own *)
+let test_exec_form_shared () =
+  let cache = Pc.create () in
+  let s1 = Svc.create ~cache hr and s2 = Svc.create ~cache hr in
+  let sql = "SELECT e.name FROM employees e WHERE e.salary > 100" in
+  ignore (exec_hr s1 sql []);
+  let x1 = exec_form s1 sql in
+  let r = exec_hr s2 sql [] in
+  Alcotest.(check bool) "second service hits" true (r.Svc.r_outcome = Svc.Hit);
+  Alcotest.(check bool) "same executable form" true (exec_form s2 sql == x1)
+
+(* eviction releases the executable form with its entry: once shape A
+   is evicted, nothing else keeps A's executable plan reachable *)
+let test_evicted_exec_released () =
+  let svc =
+    Svc.create ~config:{ Svc.default_config with Svc.capacity = 1 } hr
+  in
+  let a = "SELECT e.name FROM employees e WHERE e.salary > 100" in
+  let b = "SELECT d.dept_name FROM departments d WHERE d.loc_id = 100" in
+  ignore (exec_hr svc a []);
+  let w = Weak.create 1 in
+  (* a separate function, so no local of this frame holds the plan *)
+  let[@inline never] watch () =
+    Weak.set w 0 (Some (exec_form svc a).Pc.x_plan)
+  in
+  watch ();
+  Alcotest.(check bool) "watched while cached" true (Weak.check w 0);
+  ignore (exec_hr svc b []);
+  Alcotest.(check int) "A evicted" 1 (Pc.stats (Svc.cache svc)).Pc.evictions;
+  Gc.full_major ();
+  let released = not (Weak.check w 0) in
+  (* the service itself must outlive the collection, or its own
+     tables would be collected with it *)
+  Alcotest.(check int) "B cached" 1 (Pc.length (Svc.cache svc));
+  Alcotest.(check bool) "A's executable plan released" true released
 
 let test_memory_accounting () =
   let svc = Svc.create hr in
@@ -438,6 +492,10 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
+          Alcotest.test_case "shared executable form" `Quick
+            test_exec_form_shared;
+          Alcotest.test_case "evicted executable form released" `Quick
+            test_evicted_exec_released;
           Alcotest.test_case "memory accounting" `Quick
             test_memory_accounting;
         ] );
