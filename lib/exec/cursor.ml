@@ -11,6 +11,7 @@
 open Sqlir
 module A = Ast
 module Db = Storage.Db
+module Relation = Storage.Relation
 module B = Batch
 module Vec = Batch.Vec
 
@@ -114,6 +115,18 @@ let count_parts (es : engine_stats option) ~scanned ~pruned =
     if pruned > 0 then Mx.add (Lazy.force m_parts_pruned) pruned
   end
 
+(** Fold one exchange task's engine stats into the caller's, the way
+    its meter folds into the caller's meter. *)
+let add_engine_stats (dst : engine_stats option) (src : engine_stats) =
+  match dst with
+  | Some d ->
+      d.es_vector <- d.es_vector + src.es_vector;
+      d.es_row <- d.es_row + src.es_row;
+      d.es_parts_scanned <- d.es_parts_scanned + src.es_parts_scanned;
+      d.es_parts_pruned <- d.es_parts_pruned + src.es_parts_pruned;
+      d.es_dop <- max d.es_dop src.es_dop
+  | None -> ()
+
 (** Record the effective worker count of one exchange execution. *)
 let observe_dop (es : engine_stats option) dop =
   (match es with
@@ -198,9 +211,10 @@ type ctx = {
   engine : engine;
   card_of : Plan.t -> float option;
       (** planner cardinality hint per plan node (physical identity);
-          [None] falls back to the table's actual cardinality. Must be a
-          pure lookup that any domain may call: exchange tasks inherit
-          it unchanged. *)
+          [None] falls back to the table's actual cardinality. Read
+          only while preparing; exchange tasks inherit it unchanged and
+          are prepared on the calling domain, so it is never read on a
+          helper domain. *)
   vector_threshold : float;
       (** [Auto] vectorizes a pipeline whose source-scan cardinality
           estimate reaches this *)
@@ -212,6 +226,58 @@ type ctx = {
           every surviving partition. Top-level executions always start
           at [None]. *)
 }
+
+(** The rows a table or partition scan reads, shared by both engines:
+    per open, charge the node's access cost and return the rows to read
+    as ascending [lo, hi) slices of an array. A table scan is the single
+    slice [0, n) of the heap at [Relation.pages]. A partition scan is
+    the slices of its surviving partitions at the sum of their
+    [part_pages] — partitions being contiguous ascending slices of
+    [r_rows], an unpruned partition scan reads exactly the rows of a
+    table scan, in the same order. *)
+let scan_slices (ctx : ctx) (p : Plan.t) :
+    unit -> row array * (int * int) array =
+  let meter = ctx.meter in
+  match p with
+  | Plan.Table_scan { table; _ } ->
+      let rel = Db.relation ctx.db table in
+      let rows = rel.Relation.r_rows in
+      let whole = (rows, [| (0, Array.length rows) |]) in
+      fun () ->
+        meter.pages_read <- meter.pages_read + Relation.pages rel;
+        whole
+  | Plan.Part_scan { table; prune; _ } ->
+      let rel = Db.relation ctx.db table in
+      let spec =
+        match Relation.part rel with
+        | Some pt -> pt.Relation.p_spec
+        | None ->
+            invalid_arg
+              (Printf.sprintf "Executor: PART SCAN over unpartitioned %s"
+                 table)
+      in
+      fun () ->
+        (* pruning happens here, against the actual binds of this
+           execution — never against plan-time values *)
+        let surv = Prune.survivors_runtime ~binds:ctx.binds spec prune in
+        let surv =
+          match ctx.restrict with
+          | None ->
+              (* a top-level (non-exchange) scan accounts its pruning
+                 outcome; under an exchange the Exchange node accounts
+                 it once per execution, not once per task *)
+              count_parts ctx.estats ~scanned:(List.length surv)
+                ~pruned:(spec.Catalog.ps_n - List.length surv);
+              surv
+          | Some i -> if List.mem i surv then [ i ] else []
+        in
+        List.iter
+          (fun i ->
+            meter.pages_read <- meter.pages_read + Relation.part_pages rel i)
+          surv;
+        ( rel.Relation.r_rows,
+          Array.of_list (List.map (Relation.part_bounds rel) surv) )
+  | _ -> invalid_arg "Cursor.scan_slices: not a table or partition scan"
 
 let charge_sort ctx n =
   if n > 1 then
@@ -275,6 +341,31 @@ let acc_result (a : A.agg) acc ~rows_in_group =
   | A.Avg ->
       if acc.a_count = 0 then Value.Null
       else Value.arith `Div acc.a_sum (Value.Int acc.a_count)
+
+(* A [Partial_agg] group's state columns for one aggregate: Avg
+   decomposes into running sum + non-null count, the only
+   decomposition that recombines exactly (see
+   {!Plan.partial_state_cols}). *)
+let partial_state nrows (a : A.agg) acc =
+  match a with
+  | A.Count_star -> [ Value.Int nrows ]
+  | A.Count -> [ Value.Int acc.a_count ]
+  | A.Sum -> [ acc.a_sum ]
+  | A.Min -> [ acc.a_min ]
+  | A.Max -> [ acc.a_max ]
+  | A.Avg -> [ acc.a_sum; Value.Int acc.a_count ]
+
+(* Single-value keys with the equality of value-list keys (Int and
+   Float compare numerically under [Value.compare_total], so numeric
+   values hash through their float image): join buckets on one-column
+   fk equi-joins and one-key group tables skip the per-row key-list
+   allocation. *)
+module Hval = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal a b = Value.compare_total a b = 0
+  let hash = Value.hash_total
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Cursors                                                              *)

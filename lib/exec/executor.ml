@@ -11,13 +11,15 @@
     limit) collect their input into growable {!Batch.Vec} row vectors
     and then emit the whole result as a single view batch.
 
-    At every pipeline that fits the columnar grammar (scan → filters →
-    optional projection or scalar aggregation), [prepare] first offers
-    the node to {!Vector.try_root}: under the [Auto] engine the choice
-    is cost-driven — the planner's cardinality estimate for the
-    pipeline's source scan (threaded through {!Cursor.ctx.card_of})
-    must reach [vector_threshold] — while [Row]/[Vector] force one path
-    for differential testing and benchmarking. Vectorized pipelines
+    At every pipeline that fits the columnar grammar (table or
+    partition scan → filters → optional projection, or aggregation
+    with at most one group key), inside exchange tasks too, [prepare]
+    first offers the node to {!Vector.try_root}: under the [Auto]
+    engine the choice is cost-driven — the planner's cardinality
+    estimate for the pipeline's source scan (threaded through
+    {!Cursor.ctx.card_of}) must reach [vector_threshold] — while
+    [Row]/[Vector] force one path for differential testing and
+    benchmarking. Vectorized pipelines
     process segments through typed column vectors and a selection
     vector ({!Colbatch}, {!Vector}); everything else runs the row path
     below. Both paths are {e meter-equal field by field} and return
@@ -34,7 +36,8 @@
     Each operator family has one kernel, so every node and code path
     that runs it charges the same units: one slice-scan loop
     ([scan_into]) behind table, partition and index scans and the
-    nested-loop leaf path, with one B-tree probe ([probe_rowids]); one
+    nested-loop leaf path, over the slices {!Cursor.scan_slices} hands
+    both engines, with one B-tree probe ([probe_rowids]); one
     join-candidate test ([join_cand]) behind every join method and
     role; and one group-by fold ([group_fold]) behind [Aggregate],
     [Partial_agg] and [Final_agg].
@@ -112,16 +115,6 @@ module Hkey = Hashtbl.Make (struct
 
   let equal a b = List.compare Value.compare_total a b = 0
   let hash k = List.fold_left (fun acc v -> (acc * 31) + hash_value v) 17 k
-end)
-
-(* Single-value keys: fk equi-joins are overwhelmingly one-column, and
-   a [Value.t]-keyed table skips the per-row key-list allocation and
-   the list fold of {!Hkey}. Same equality as {!Hkey} on singletons. *)
-module Hval = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal a b = Value.compare_total a b = 0
-  let hash = hash_value
 end)
 
 (* Lexicographic comparison of precomputed key tuples (equal widths). *)
@@ -435,61 +428,20 @@ let probe_rowids (ctx : ctx) scopes ~table ~index ~prefix ~lo ~hi :
 (* A scan leaf as input to the one scan kernel: its compiled filter,
    and a per-open function that charges the node's own access cost and
    returns the rows to read as ascending [lo, hi) slices of an array.
-   A table scan is the single slice [0, n) of the heap at
-   [Relation.pages]. A partition scan is the slices of its surviving
-   partitions at the sum of their [part_pages] — partitions being
-   contiguous ascending slices of [r_rows], an unpruned partition scan
-   reads exactly the rows of a table scan, in the same order. An index
-   scan is the single slice over the rows its probe returned. *)
+   Table and partition scans take their slices from {!scan_slices},
+   which the vectorized engine shares; an index scan is the single
+   slice over the rows its probe returned. *)
 let scan_leaf (ctx : ctx) scopes (p : Plan.t) :
     (row -> row list -> bool) * (row list -> row array * (int * int) array)
     =
-  let meter = ctx.meter in
-  let binds = ctx.binds in
   let filter_of filter =
-    compile_filter ~meter ~binds (Plan.layout p ctx.db.Db.cat) scopes filter
+    compile_filter ~meter:ctx.meter ~binds:ctx.binds
+      (Plan.layout p ctx.db.Db.cat) scopes filter
   in
   match p with
-  | Plan.Table_scan { table; alias = _; filter } ->
-      let rel = Db.relation ctx.db table in
-      let rows = rel.Relation.r_rows in
-      let whole = (rows, [| (0, Array.length rows) |]) in
-      ( filter_of filter,
-        fun _ ->
-          meter.pages_read <- meter.pages_read + Relation.pages rel;
-          whole )
-  | Plan.Part_scan { table; alias = _; filter; prune } ->
-      let rel = Db.relation ctx.db table in
-      let spec =
-        match Relation.part rel with
-        | Some pt -> pt.Relation.p_spec
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Executor: PART SCAN over unpartitioned %s"
-                 table)
-      in
-      ( filter_of filter,
-        fun _ ->
-          (* pruning happens here, against the actual binds of this
-             execution — never against plan-time values *)
-          let surv = Prune.survivors_runtime ~binds spec prune in
-          let surv =
-            match ctx.restrict with
-            | None ->
-                (* a top-level (non-exchange) scan accounts its pruning
-                   outcome; under an exchange the Exchange node accounts
-                   it once per execution, not once per task *)
-                count_parts ctx.estats ~scanned:(List.length surv)
-                  ~pruned:(spec.Catalog.ps_n - List.length surv);
-                surv
-            | Some i -> if List.mem i surv then [ i ] else []
-          in
-          List.iter
-            (fun i ->
-              meter.pages_read <- meter.pages_read + Relation.part_pages rel i)
-            surv;
-          ( rel.Relation.r_rows,
-            Array.of_list (List.map (Relation.part_bounds rel) surv) ) )
+  | Plan.Table_scan { filter; _ } | Plan.Part_scan { filter; _ } ->
+      let slices = scan_slices ctx p in
+      (filter_of filter, fun _ -> slices ())
   | Plan.Index_scan { table; alias = _; index; prefix; lo; hi; filter } ->
       let rel = Db.relation ctx.db table in
       let probe = probe_rowids ctx scopes ~table ~index ~prefix ~lo ~hi in
@@ -638,19 +590,6 @@ let group_fold (ctx : ctx) cchild ~key ~naccs ~sorted ~step ~emit =
         (fun (kv, n, accs) -> Vec.push result (emit kv !n accs))
         (List.rev !groups);
       result)
-
-(* A [Partial_agg] group's state columns for one aggregate: Avg
-   decomposes into running sum + non-null count, the only
-   decomposition that recombines exactly (see
-   {!Plan.partial_state_cols}). *)
-let partial_state nrows (a : A.agg) acc =
-  match a with
-  | A.Count_star -> [ Value.Int nrows ]
-  | A.Count -> [ Value.Int acc.a_count ]
-  | A.Sum -> [ acc.a_sum ]
-  | A.Min -> [ acc.a_min ]
-  | A.Max -> [ acc.a_max ]
-  | A.Avg -> [ acc.a_sum; Value.Int acc.a_count ]
 
 (* Fold one aggregate's state column(s), at position [p] of a
    [Partial_agg] row, into [acc]: counts add up into [a_count], and
@@ -1465,18 +1404,20 @@ and prepare_aggregate ctx scopes child keys args ~sorted ~finish =
 (* Partition-parallel execution of [child]. The task list is the
    ascending union of the pruning survivors of every [Part_scan] in the
    subtree — a pure function of the prune specs and the bind vector,
-   identical at every dop. Each task re-prepares the child with a fresh
-   context: its own meter, its own analyze table, [restrict = Some t]
-   so every partitioned scan reads only partition [t], and the row
-   engine forced (the columnar image cache is not domain-safe; row and
-   vector are meter-equal, so the choice is unobservable). It keeps the
-   parent's [card_of], which the forced Row engine never reads. The
+   identical at every dop. Each execution prepares one cursor per task
+   on the calling domain, under a fresh context: its own meter, engine
+   stats and analyze table, and [restrict = Some t] so every
+   partitioned scan reads only partition [t]. Preparing is where the
+   engine choice reads [card_of], so every hint read stays on the
+   caller; helper domains only open and drain prepared cursors, and the
+   column images a vectorized task reads are immutable and shared. The
    coordinator merges in ascending task order: rows concatenate, task
-   meters [Meter.add] into the parent (commutative integer sums), task
-   node stats fold into the parent's analyze table keyed by the shared
-   plan-node identity. With [dop <= 1] {!Exchange.run_tasks} runs the
-   same per-task closures on the calling domain — same code path, so
-   rows and merged meters are bit-identical to any parallel dop. *)
+   meters and engine stats add into the parent's (commutative integer
+   sums), task node stats fold into the parent's analyze table keyed by
+   the shared plan-node identity. With [dop <= 1]
+   {!Exchange.run_tasks} runs the same per-task closures on the calling
+   domain — same code path, so rows and merged meters are bit-identical
+   to any parallel dop. *)
 and prepare_exchange ctx scopes child dop =
   match Plan.part_scans child with
   | [] ->
@@ -1498,25 +1439,24 @@ and prepare_exchange ctx scopes child dop =
           scans
       in
       let binds = ctx.binds in
-      let run_task orows t =
+      let prepare_task t =
         let m = Meter.create () in
         let tbl =
           match ctx.analyze with
           | None -> None
           | Some _ -> Some (Ptbl.create 16)
         in
+        let es = engine_stats_create () in
         let tctx =
           {
             ctx with
             meter = m;
             analyze = tbl;
-            engine = Row;
-            estats = None;
+            estats = Some es;
             restrict = Some t;
           }
         in
-        let rows = drain (prepare tctx scopes child) orows in
-        (rows, m, tbl)
+        (prepare tctx scopes child, m, tbl, es)
       in
       breaker (fun orows ->
           let module Iset = Set.Make (Int) in
@@ -1542,11 +1482,20 @@ and prepare_exchange ctx scopes child dop =
             survivors;
           if tasks <> [] then
             observe_dop ctx.estats (max 1 (min dop (List.length tasks)));
-          let results = Exchange.run_tasks ~dop ~tasks ~f:(run_task orows) in
+          let prepared = Array.of_list (List.map prepare_task tasks) in
+          let results =
+            Exchange.run_tasks ~dop
+              ~tasks:(List.init (Array.length prepared) Fun.id)
+              ~f:(fun k ->
+                let c, _, _, _ = prepared.(k) in
+                drain c orows)
+          in
           let out = Vec.create () in
           List.iter
-            (fun (_, (rows, m, tbl)) ->
+            (fun (k, rows) ->
+              let _, m, tbl, es = prepared.(k) in
               Meter.add ctx.meter m;
+              add_engine_stats ctx.estats es;
               (match (ctx.analyze, tbl) with
               | Some main, Some sub ->
                   Ptbl.iter

@@ -222,8 +222,10 @@ let pp ppf t =
     the struct-of-arrays layout: [Gc.allocated_bytes] already includes
     these buffers, and the explicit counter shows how much of the total
     they are (and would keep counting them if the buffers ever moved
-    off the OCaml heap). *)
-let vec_alloc_words = ref 0
+    off the OCaml heap). Atomic: exchange tasks build column images on
+    helper domains. *)
+let vec_alloc_words = Atomic.make 0
 
-let charge_vec_alloc words = vec_alloc_words := !vec_alloc_words + words
-let vec_alloc_bytes () = !vec_alloc_words * (Sys.word_size / 8)
+let charge_vec_alloc words =
+  ignore (Atomic.fetch_and_add vec_alloc_words words)
+let vec_alloc_bytes () = Atomic.get vec_alloc_words * (Sys.word_size / 8)

@@ -1,17 +1,33 @@
 (** Vectorized (columnar) pipeline engine.
 
-    Executes scan → filter* → (project | scalar aggregate) pipeline
-    chains over the struct-of-arrays images of {!Colbatch}: each
-    [c_next] processes one segment of the table through a selection
+    Executes pipeline chains — a table or partition scan, the filters
+    above it, and an optional projection or aggregation root — over
+    the relation-owned column images of {!Colbatch}: each [c_next]
+    processes one segment of the scanned rows through a selection
     vector, applying every predicate conjunct as a tight monomorphic
     loop over its column vector (or, for predicates the typed loops
-    cannot express, over the retained base rows), then materializes the
+    cannot express, over the rows themselves), then materializes the
     surviving selection at the pipeline edge — for identity pipelines
     by handing out the original row pointers, allocation-free.
-    Everything outside this grammar (joins, grouped aggregation, sorts,
-    set operators, index scans) stays on the row path of {!Executor};
-    the conversion happens only at pipeline edges, where breakers
-    materialize rows anyway.
+
+    {b Grammar v2.} The source is a [Table_scan] or a [Part_scan]; a
+    partition scan reads its surviving slices, honours an exchange
+    task's [restrict], and charges its pages through the one slice
+    function the row engine's scan leaf uses ({!Cursor.scan_slices}).
+    The root is a projection, or a non-DISTINCT [Aggregate] or
+    [Partial_agg] that is keyless or has one group key. A keyless
+    aggregation is one group even on empty input, so a keyless
+    [Partial_agg] task emits one state row. Grouped aggregation assigns
+    group ids in first-seen order under {!Cursor.Hval}'s equality,
+    with typed hash tables for monomorphic int (and date) and string
+    key columns — NULL is one group of its own — and a [Value.t] table
+    otherwise; typed int and float aggregate arguments accumulate
+    unboxed per group. Everything outside the grammar (joins,
+    multi-key grouping, sorts, set operators, index scans) stays on the
+    row path of {!Executor}; the conversion happens only at pipeline
+    edges, where breakers materialize rows anyway. Exchange tasks run
+    these chains on helper domains: a chain's mutable state is its own,
+    and the images it reads are immutable and shared.
 
     {b Meter parity is exact.} Charges are accounted field by field as
     the row engine does: [pages_read] per open, [rows_scanned] per
@@ -22,7 +38,8 @@
     are evaluated on exactly the rows that survive the preceding
     conjuncts, preserving short-circuit [expensive_calls] counts. The
     test suite runs forced-engine differential comparisons (vector vs
-    row vs {!Baseline}) on randomized plans to hold this.
+    row vs {!Baseline}) on randomized plans and on exchange plans to
+    hold this.
 
     The engine choice is hybrid and cost-driven: {!try_root} consults
     the planner's estimated pipeline cardinality (threaded through
@@ -217,8 +234,13 @@ let col_const op (c : C.col) (v : Value.t) : conj =
           K_col (fun i -> not (C.bitmap_get nulls i))
         else K_none
 
-let col_col (cb : C.t) op ja jb : conj =
-  let ca = cb.C.cols.(ja) and cb2 = cb.C.cols.(jb) in
+(** What a chain binds to at open: the scanned rows and their
+    relation-owned column images, fetched — and built on first use —
+    per referenced column. *)
+type img = { base : row array; col : int -> C.col }
+
+let col_col (im : img) op ja jb : conj =
+  let ca = im.col ja and cb2 = im.col jb in
   let na = ca.C.c_nulls and nb = cb2.C.c_nulls in
   match (ca.C.c_vec, cb2.C.c_vec) with
   | C.V_int a, C.V_int b | C.V_date a, C.V_date b ->
@@ -259,7 +281,7 @@ let col_col (cb : C.t) op ja jb : conj =
   | _ ->
       (* bool pairs, mixed columns, cross-type: through the base rows,
          exactly the row engine's specialized path *)
-      let base = cb.C.base in
+      let base = im.base in
       let t = Eval.cmp_test op in
       K_col
         (fun i ->
@@ -268,16 +290,16 @@ let col_col (cb : C.t) op ja jb : conj =
           (not (Value.is_null va || Value.is_null vb))
           && t (Value.compare_total va vb))
 
-let bind_conj (cb : C.t) (pc : pconj) : conj =
+let bind_conj (im : img) (pc : pconj) : conj =
   match pc with
   | P_fast true -> K_all
   | P_fast false -> K_none
   | P_slow f -> K_slow f
   | P_typed (op, pa, pb) -> (
       match (pa, pb) with
-      | PO_col j, PO_const v -> col_const op cb.C.cols.(j) v
-      | PO_const v, PO_col j -> col_const (flip op) cb.C.cols.(j) v
-      | PO_col ja, PO_col jb -> col_col cb op ja jb
+      | PO_col j, PO_const v -> col_const op (im.col j) v
+      | PO_const v, PO_col j -> col_const (flip op) (im.col j) v
+      | PO_col ja, PO_col jb -> col_col im op ja jb
       | PO_const _, PO_const _ -> assert false)
 
 let apply_conj vb (base : row array) (orows : row list) = function
@@ -293,13 +315,23 @@ let apply_conj vb (base : row array) (orows : row list) = function
 (* Chain recognition                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(** An aggregation root: [Aggregate] (non-DISTINCT) or [Partial_agg],
+    keyless or with one group key. *)
+type agg_root = {
+  ag_sorted : bool;  (** sort strategy: charge the sort of the input *)
+  ag_key : A.expr option;
+      (** [None]: one implicit group, even on empty input *)
+  ag_aggs : (A.agg * A.expr option) list;
+  ag_partial : bool;  (** emit [Partial_agg] state rows, not final values *)
+}
+
 type root_kind =
   | R_pipe  (** chain top is the scan or a filter: emit the base rows *)
   | R_project of (A.expr * string) list
-  | R_agg of [ `Hash | `Sort ] * (string * A.agg * A.expr option * bool) list
+  | R_agg of agg_root
 
 type chain_desc = {
-  cd_scan : Plan.t;  (** the [Table_scan] source *)
+  cd_scan : Plan.t;  (** the [Table_scan] or [Part_scan] source *)
   cd_table : string;
   cd_nodes : (Plan.t * A.pred list) list;
       (** scan first, then each [Filter] above it, bottom-up *)
@@ -309,17 +341,21 @@ type chain_desc = {
 
 let rec pipe_of (p : Plan.t) =
   match p with
-  | Plan.Table_scan { table; filter; _ } -> Some (p, table, [ (p, filter) ])
+  | Plan.Table_scan { table; filter; _ } | Plan.Part_scan { table; filter; _ }
+    ->
+      Some (p, table, [ (p, filter) ])
   | Plan.Filter { child; preds } ->
       Option.map
         (fun (sp, t, nodes) -> (sp, t, nodes @ [ (p, preds) ]))
         (pipe_of child)
   | _ -> None
 
-(** The vectorizable grammar, v1:
-    [(Project | scalar non-DISTINCT Aggregate)? · Filter* · Table_scan].
-    Index scans, joins, grouped aggregation and all breakers stay on
-    the row path, converting at the pipeline edge. *)
+(** The vectorizable grammar, v2:
+    [(Project | Aggregate | Partial_agg)? · Filter* · Scan], where the
+    scan is a [Table_scan] or a [Part_scan] and the aggregation is
+    non-DISTINCT with at most one group key. Index scans, joins,
+    multi-key grouping and all breakers stay on the row path,
+    converting at the pipeline edge. *)
 let chain_of (p : Plan.t) : chain_desc option =
   let mk child root =
     Option.map
@@ -333,86 +369,233 @@ let chain_of (p : Plan.t) : chain_desc option =
         })
       (pipe_of child)
   in
+  let agg child ~sorted ~partial keys aggs =
+    let root key =
+      R_agg
+        {
+          ag_sorted = sorted;
+          ag_key = key;
+          ag_aggs = aggs;
+          ag_partial = partial;
+        }
+    in
+    match keys with
+    | [] -> mk child (root None)
+    | [ (e, _) ] -> mk child (root (Some e))
+    | _ -> None
+  in
   match p with
   | Plan.Project { child; items; _ } -> mk child (R_project items)
-  | Plan.Aggregate { child; keys = []; strategy; aggs; _ }
+  | Plan.Aggregate { child; keys; strategy; aggs; _ }
     when List.for_all (fun (_, _, _, dist) -> not dist) aggs ->
-      mk child (R_agg (strategy, aggs))
-  | Plan.Table_scan _ | Plan.Filter _ -> mk p R_pipe
+      agg child ~sorted:(strategy = `Sort) ~partial:false keys
+        (List.map (fun (_, a, eo, _) -> (a, eo)) aggs)
+  | Plan.Partial_agg { child; keys; aggs; _ } ->
+      agg child ~sorted:false ~partial:true keys
+        (List.map (fun (_, a, eo) -> (a, eo)) aggs)
+  | Plan.Table_scan _ | Plan.Part_scan _ | Plan.Filter _ -> mk p R_pipe
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Aggregate fast paths                                                 *)
+(* Grouped accumulation                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Aggregate argument source, compiled at prepare time. *)
-type aggsrc =
-  | AS_none
-  | AS_col of int
-  | AS_expr of (row list -> Value.t)
+(* Typed group tables: the equality of [Hval] (and so of the row
+   engine's [Hkey]) on a monomorphic int or string column. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
 
-(* Per-execution accumulator, bound to the columnar image at open.
-   Typed runs keep unboxed running state; [AR_col]/[AR_expr] go through
-   the shared generic accumulator, so semantics (and [Value.arith]
-   corner cases like date addition) cannot drift from the row engine. *)
-type arun =
-  | AR_unit
-  | AR_int of int array * Bytes.t * istate
-  | AR_float of float array * Bytes.t * fstate
-  | AR_col of int * acc
-  | AR_expr of (row list -> Value.t) * acc
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+module Stbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+(* Projection item, group key or aggregate argument, compiled at
+   prepare time: a column of the scanned table, or a closure over the
+   row and the correlation rows. *)
+type src = S_col of int | S_fun of (row -> row list -> Value.t)
+
+let compile_src ~meter ~binds scan_layout scopes (e : A.expr) : src =
+  match match e with A.Col c -> Eval.find_col scan_layout c | _ -> None with
+  | Some j -> S_col j
+  | None -> (
+      match Eval.simple_arg ~binds scan_layout e with
+      | Some f -> S_fun (fun r _ -> f r)
+      | None ->
+          let g = Eval.compile_expr ~meter ~binds (scan_layout :: scopes) e in
+          S_fun (fun r orows -> g (r :: orows)))
+
+(* A source bound to the open's image: row id -> value. *)
+let value_of (im : img) orows = function
+  | S_col j ->
+      let base = im.base in
+      fun i -> Array.unsafe_get (Array.unsafe_get base i) j
+  | S_fun f ->
+      let base = im.base in
+      fun i -> f (Array.unsafe_get base i) orows
+
+(* The group key bound to an image: typed fast paths for monomorphic
+   int (and date) and string columns, with NULL as one group of its
+   own; everything else hashes [Value.t]s. *)
+type keyer =
+  | KB_none  (** keyless: every row is in group 0 *)
+  | KB_int of int array * Bytes.t * (int -> Value.t)
+  | KB_str of string array * Bytes.t
+  | KB_gen of (int -> Value.t)
+
+(* Per-group state of one aggregate, indexed by group id. Typed runs
+   keep unboxed running state; [G_gen] goes through the shared generic
+   accumulator, so semantics (and [Value.arith] corner cases like date
+   addition) cannot drift from the row engine. *)
+type grun =
+  | G_unit  (** no argument *)
+  | G_int of int array * Bytes.t * istate
+  | G_float of float array * Bytes.t * fstate
+  | G_gen of (int -> Value.t) * gstate
 
 and istate = {
-  mutable ic : int;
-  mutable isum : int;
-  mutable imn : int;
-  mutable imx : int;
+  mutable ic : int array;
+  mutable isum : int array;
+  mutable imn : int array;
+  mutable imx : int array;
 }
 
 and fstate = {
-  mutable fc : int;
-  mutable fsum : float;
-  mutable fmn : float;
-  mutable fmx : float;
+  mutable fc : int array;
+  mutable fsum : float array;
+  mutable fmn : float array;
+  mutable fmx : float array;
 }
 
-let mk_run (cb : C.t) = function
-  | AS_none -> AR_unit
-  | AS_expr f -> AR_expr (f, acc_create ())
-  | AS_col j -> (
-      let c = cb.C.cols.(j) in
-      match c.C.c_vec with
-      | C.V_int a -> AR_int (a, c.C.c_nulls, { ic = 0; isum = 0; imn = 0; imx = 0 })
-      | C.V_float a ->
-          AR_float (a, c.C.c_nulls, { fc = 0; fsum = 0.; fmn = 0.; fmx = 0. })
-      | _ -> AR_col (j, acc_create ()))
+and gstate = { mutable accs : acc array }
 
-(* Fold the run back into a generic accumulator and let [acc_result]
-   produce the value — COUNT/SUM/MIN/MAX/AVG semantics (including the
-   empty-input NULLs and integer-average promotion) stay shared. *)
-let run_result (a : A.agg) (ar : arun) ~rows_in_group : Value.t =
-  let acc =
-    match ar with
-    | AR_unit -> acc_create ()
-    | AR_col (_, acc) | AR_expr (_, acc) -> acc
-    | AR_int (_, _, st) ->
-        {
-          a_count = st.ic;
-          a_sum = (if st.ic = 0 then Value.Null else Value.Int st.isum);
-          a_min = (if st.ic = 0 then Value.Null else Value.Int st.imn);
-          a_max = (if st.ic = 0 then Value.Null else Value.Int st.imx);
-          a_seen = Vkey.empty;
-        }
-    | AR_float (_, _, st) ->
-        {
-          a_count = st.fc;
-          a_sum = (if st.fc = 0 then Value.Null else Value.Float st.fsum);
-          a_min = (if st.fc = 0 then Value.Null else Value.Float st.fmn);
-          a_max = (if st.fc = 0 then Value.Null else Value.Float st.fmx);
-          a_seen = Vkey.empty;
-        }
-  in
-  acc_result a acc ~rows_in_group
+(* A run over [im]; its per-group arrays start empty and grow with the
+   group table. *)
+let mk_run (im : img) orows (s : src) : grun =
+  let col = match s with S_col j -> Some (im.col j) | S_fun _ -> None in
+  match col with
+  | Some { C.c_vec = C.V_int a; c_nulls } ->
+      G_int (a, c_nulls, { ic = [||]; isum = [||]; imn = [||]; imx = [||] })
+  | Some { C.c_vec = C.V_float a; c_nulls } ->
+      G_float (a, c_nulls, { fc = [||]; fsum = [||]; fmn = [||]; fmx = [||] })
+  | _ -> G_gen (value_of im orows s, { accs = [||] })
+
+let grow_to cap a fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Make room for group ids below [cap]. *)
+let run_grow cap = function
+  | G_unit -> ()
+  | G_int (_, _, st) ->
+      st.ic <- grow_to cap st.ic 0;
+      st.isum <- grow_to cap st.isum 0;
+      st.imn <- grow_to cap st.imn 0;
+      st.imx <- grow_to cap st.imx 0
+  | G_float (_, _, st) ->
+      st.fc <- grow_to cap st.fc 0;
+      st.fsum <- grow_to cap st.fsum 0.;
+      st.fmn <- grow_to cap st.fmn 0.;
+      st.fmx <- grow_to cap st.fmx 0.
+  | G_gen (_, st) -> st.accs <- grow_to cap st.accs (acc_create ())
+
+let run_init g = function
+  | G_unit -> ()
+  | G_int (_, _, st) -> st.ic.(g) <- 0
+  | G_float (_, _, st) -> st.fc.(g) <- 0
+  | G_gen (_, st) -> st.accs.(g) <- acc_create ()
+
+(* Fold the selected rows [sel.(0 .. n-1)], of groups [gids], into
+   the run. Sums run in selection order and float min/max use
+   [compare]: the image of the generic accumulator, bit-exact. *)
+let run_add ~n ~sel ~gids = function
+  | G_unit -> ()
+  | G_int (a, nulls, st) ->
+      let ic = st.ic and isum = st.isum and imn = st.imn and imx = st.imx in
+      for s = 0 to n - 1 do
+        let i = Array.unsafe_get sel s in
+        if not (C.bitmap_get nulls i) then begin
+          let g = Array.unsafe_get gids s in
+          let v = Array.unsafe_get a i in
+          let c = Array.unsafe_get ic g in
+          if c = 0 then begin
+            Array.unsafe_set isum g v;
+            Array.unsafe_set imn g v;
+            Array.unsafe_set imx g v
+          end
+          else begin
+            Array.unsafe_set isum g (Array.unsafe_get isum g + v);
+            if v < Array.unsafe_get imn g then Array.unsafe_set imn g v;
+            if v > Array.unsafe_get imx g then Array.unsafe_set imx g v
+          end;
+          Array.unsafe_set ic g (c + 1)
+        end
+      done
+  | G_float (a, nulls, st) ->
+      let fc = st.fc and fsum = st.fsum and fmn = st.fmn and fmx = st.fmx in
+      for s = 0 to n - 1 do
+        let i = Array.unsafe_get sel s in
+        if not (C.bitmap_get nulls i) then begin
+          let g = Array.unsafe_get gids s in
+          let v = Array.unsafe_get a i in
+          let c = Array.unsafe_get fc g in
+          if c = 0 then begin
+            Array.unsafe_set fsum g v;
+            Array.unsafe_set fmn g v;
+            Array.unsafe_set fmx g v
+          end
+          else begin
+            Array.unsafe_set fsum g (Array.unsafe_get fsum g +. v);
+            if Stdlib.compare v (Array.unsafe_get fmn g) < 0 then
+              Array.unsafe_set fmn g v;
+            if Stdlib.compare v (Array.unsafe_get fmx g) > 0 then
+              Array.unsafe_set fmx g v
+          end;
+          Array.unsafe_set fc g (c + 1)
+        end
+      done
+  | G_gen (f, st) ->
+      let accs = st.accs in
+      for s = 0 to n - 1 do
+        acc_add false
+          (Array.unsafe_get accs (Array.unsafe_get gids s))
+          (f (Array.unsafe_get sel s))
+      done
+
+(* Group [g]'s state as a generic accumulator, so [acc_result] and
+   [partial_state] render it: COUNT/SUM/MIN/MAX/AVG semantics
+   (including the empty-input NULLs and integer-average promotion)
+   stay shared. *)
+let run_acc g = function
+  | G_unit -> acc_create ()
+  | G_gen (_, st) -> st.accs.(g)
+  | G_int (_, _, st) ->
+      let c = st.ic.(g) in
+      let v x = if c = 0 then Value.Null else Value.Int x in
+      {
+        a_count = c;
+        a_sum = v st.isum.(g);
+        a_min = v st.imn.(g);
+        a_max = v st.imx.(g);
+        a_seen = Vkey.empty;
+      }
+  | G_float (_, _, st) ->
+      let c = st.fc.(g) in
+      let v x = if c = 0 then Value.Null else Value.Float x in
+      {
+        a_count = c;
+        a_sum = v st.fsum.(g);
+        a_min = v st.fmn.(g);
+        a_max = v st.fmx.(g);
+        a_seen = Vkey.empty;
+      }
 
 (* ------------------------------------------------------------------ *)
 (* Chain construction                                                   *)
@@ -423,17 +606,31 @@ let run_result (a : A.agg) (ar : arun) ~rows_in_group : Value.t =
    pipeline root, which the executor's standard wrapper charges. *)
 type stage = {
   sg_preds : pconj array;
-  mutable sg_conjs : conj array;  (* rebound per columnar image *)
+  mutable sg_conjs : conj array;  (* rebound per row array *)
   sg_charge : bool;
   sg_stat : node_stat option;
 }
 
-let build (ctx : ctx) (scopes : layout list) (cd : chain_desc) : cursor =
+(* A chain below its root: per-open state and the segment stepper the
+   root consumes. *)
+type chain = {
+  ch_vb : vblock;  (** the current segment's selection *)
+  ch_img : img ref;  (** bound at open *)
+  ch_orows : row list ref;
+  ch_step : unit -> bool;  (** advance one segment; false at exhaustion *)
+  ch_open : row list -> unit;
+  ch_close : unit -> unit;
+  ch_root_stat : node_stat option;
+      (** analyze record of a non-[R_pipe] root (a pipe root's is its
+          last stage's) *)
+}
+
+let chain (ctx : ctx) (scopes : layout list) (cd : chain_desc) : chain =
   let meter = ctx.meter in
   let binds = ctx.binds in
   let rel = Db.relation ctx.db cd.cd_table in
   let scan_layout = Plan.layout cd.cd_scan ctx.db.Db.cat in
-  let width = Array.length scan_layout in
+  let slices_of = scan_slices ctx cd.cd_scan in
   let seg = ctx.size in
   let vb =
     { lo = 0; hi = 0; sel = Array.make (max 1 seg) 0; n = 0; dense = true }
@@ -463,40 +660,38 @@ let build (ctx : ctx) (scopes : layout list) (cd : chain_desc) : cursor =
         })
       cd.cd_nodes
   in
-  let root_stat =
-    if is_pipe then (List.nth stages (n_nodes - 1)).sg_stat
-    else stat_of cd.cd_root_plan
-  in
-  (* per-open chain state *)
-  let base = ref rel.Relation.r_rows in
-  let cbref : C.t option ref = ref None in
-  let pos = ref 0 in
+  let root_stat = if is_pipe then None else stat_of cd.cd_root_plan in
+  (* per-open chain state: the image, the slices still to read *)
+  let im = ref { base = [||]; col = (fun _ -> assert false) } in
+  let bound = ref false in
+  let slices = ref [||] and si = ref 0 and pos = ref 0 in
   let orows_r = ref [] in
-  let rebind () =
-    let rows = rel.Relation.r_rows in
-    let stale =
-      match !cbref with Some cb -> cb.C.base != rows | None -> true
-    in
-    if stale then begin
-      let cb = C.of_rows_cached rows ~width in
-      cbref := Some cb;
-      base := rows;
+  let rebind rows =
+    if not (!bound && !im.base == rows) then begin
+      let i = { base = rows; col = C.column rel rows } in
+      im := i;
+      bound := true;
       List.iter
-        (fun sg -> sg.sg_conjs <- Array.map (bind_conj cb) sg.sg_preds)
+        (fun sg -> sg.sg_conjs <- Array.map (bind_conj i) sg.sg_preds)
         stages
     end
   in
+  let open_slices () =
+    let rows, sl = slices_of () in
+    rebind rows;
+    slices := sl;
+    si := 0;
+    pos := if Array.length sl > 0 then fst sl.(0) else 0
+  in
   let open_chain orows =
     orows_r := orows;
-    pos := 0;
-    rebind ();
     match ctx.analyze with
-    | None -> meter.Meter.pages_read <- meter.Meter.pages_read + Relation.pages rel
+    | None -> open_slices ()
     | Some _ ->
         (* every charging chain node counts one execution and absorbs
            the open charges, as the nested row wrappers would *)
         let m0 = Meter.copy meter in
-        meter.Meter.pages_read <- meter.Meter.pages_read + Relation.pages rel;
+        open_slices ();
         let d = Meter.diff meter m0 in
         List.iter
           (fun sg ->
@@ -508,16 +703,21 @@ let build (ctx : ctx) (scopes : layout list) (cd : chain_desc) : cursor =
           stages
   in
   (* Advance one segment through every chain node; false at exhaustion.
-     Stage k's analyze meter gets the cumulative segment delta after
-     its conjuncts ran — i.e. its own work plus everything below it,
-     exactly the nesting of the row engine's per-node measures. *)
+     Segments never straddle two slices. Stage k's analyze meter gets
+     the cumulative segment delta after its conjuncts ran — i.e. its own
+     work plus everything below it, exactly the nesting of the row
+     engine's per-node measures. *)
   let step () =
-    let rows = !base in
-    let nrows = Array.length rows in
-    if !pos >= nrows then false
+    let sl = !slices in
+    let ns = Array.length sl in
+    while !si < ns && !pos >= snd sl.(!si) do
+      incr si;
+      if !si < ns then pos := fst sl.(!si)
+    done;
+    if !si >= ns then false
     else begin
       let lo = !pos in
-      let hi = min nrows (lo + seg) in
+      let hi = min (snd sl.(!si)) (lo + seg) in
       pos := hi;
       vb.lo <- lo;
       vb.hi <- hi;
@@ -530,6 +730,7 @@ let build (ctx : ctx) (scopes : layout list) (cd : chain_desc) : cursor =
         done;
         vb.dense <- false
       end;
+      let rows = !im.base in
       let orows = !orows_r in
       let m0 =
         match ctx.analyze with
@@ -558,243 +759,235 @@ let build (ctx : ctx) (scopes : layout list) (cd : chain_desc) : cursor =
       true
     end
   in
-  let close_chain () = () in
-  let out = B.create (max 1 seg) in
+  {
+    ch_vb = vb;
+    ch_img = im;
+    ch_orows = orows_r;
+    ch_step = step;
+    ch_open = open_chain;
+    ch_close = (fun () -> slices := [||]);
+    ch_root_stat = root_stat;
+  }
+
+(* A streaming root: the surviving selection of every non-empty
+   segment, mapped through [emit], as one output batch. *)
+let emitting (ch : chain) ~size (emit : row -> row) : cursor =
+  let vb = ch.ch_vb in
+  let out = B.create (max 1 size) in
+  let rec next () =
+    if ch.ch_step () then
+      if vb.n = 0 then next ()
+      else begin
+        (match ch.ch_root_stat with
+        | Some st -> st.ns_sel_in <- st.ns_sel_in + vb.n
+        | None -> ());
+        let data = out.B.data in
+        let rows = !(ch.ch_img).base in
+        (if vb.dense then begin
+           let k = ref 0 in
+           for i = vb.lo to vb.hi - 1 do
+             Array.unsafe_set data !k (emit (Array.unsafe_get rows i));
+             incr k
+           done
+         end
+         else
+           let sel = vb.sel in
+           for s = 0 to vb.n - 1 do
+             Array.unsafe_set data s
+               (emit (Array.unsafe_get rows (Array.unsafe_get sel s)))
+           done);
+        out.B.len <- vb.n;
+        Some out
+      end
+    else None
+  in
+  { c_open = ch.ch_open; c_next = next; c_close = ch.ch_close }
+
+(* The aggregation root over a chain: per segment, the surviving
+   selection is made explicit, each row is assigned its group id
+   (first-seen order, as the row engine's group fold), and every
+   aggregate run folds the segment. Charges [agg_rows] per aggregated
+   row and, under the sort strategy, the sort of the input. *)
+let agg_cursor (ctx : ctx) (ch : chain) ~key ~args ag : cursor =
+  let meter = ctx.meter and seg = ctx.size and vb = ch.ch_vb in
+  let gids = Array.make (max 1 seg) 0 in
+  Meter.charge_vec_alloc (max 1 seg);
+  let itbl = Itbl.create 16 and stbl = Stbl.create 16 in
+  let vtbl = Hval.create 16 in
+  let null_gid = ref (-1) in
+  let keyer = ref KB_none in
+  let runs = ref [||] in
+  (* groups in first-seen order: key value and row count *)
+  let ng = ref 0 in
+  let g_key = ref [||] and g_rows = ref [||] in
+  let new_group kv =
+    let g = !ng in
+    if g = Array.length !g_rows then begin
+      let cap = max 16 (2 * g) in
+      g_key := grow_to cap !g_key Value.Null;
+      g_rows := grow_to cap !g_rows 0;
+      Array.iter (run_grow cap) !runs
+    end;
+    !g_key.(g) <- kv;
+    !g_rows.(g) <- 0;
+    Array.iter (run_init g) !runs;
+    ng := g + 1;
+    g
+  in
+  let null_group () =
+    if !null_gid < 0 then null_gid := new_group Value.Null;
+    !null_gid
+  in
+  (* group id of every selected row into [gids] *)
+  let assign n sel =
+    match !keyer with
+    | KB_none -> ()
+    | KB_int (a, nulls, wrap) ->
+        for s = 0 to n - 1 do
+          let i = Array.unsafe_get sel s in
+          Array.unsafe_set gids s
+            (if C.bitmap_get nulls i then null_group ()
+             else
+               let k = Array.unsafe_get a i in
+               match Itbl.find itbl k with
+               | g -> g
+               | exception Not_found ->
+                   let g = new_group (wrap k) in
+                   Itbl.add itbl k g;
+                   g)
+        done
+    | KB_str (a, nulls) ->
+        for s = 0 to n - 1 do
+          let i = Array.unsafe_get sel s in
+          Array.unsafe_set gids s
+            (if C.bitmap_get nulls i then null_group ()
+             else
+               let k = Array.unsafe_get a i in
+               match Stbl.find stbl k with
+               | g -> g
+               | exception Not_found ->
+                   let g = new_group (Value.Str k) in
+                   Stbl.add stbl k g;
+                   g)
+        done
+    | KB_gen f ->
+        for s = 0 to n - 1 do
+          let kv = f (Array.unsafe_get sel s) in
+          Array.unsafe_set gids s
+            (match Hval.find vtbl kv with
+            | g -> g
+            | exception Not_found ->
+                let g = new_group kv in
+                Hval.add vtbl kv g;
+                g)
+        done
+  in
+  let emitted = ref false in
+  let c_open orows =
+    ch.ch_open orows;
+    emitted := false;
+    let i = !(ch.ch_img) in
+    keyer :=
+      (match key with
+      | None -> KB_none
+      | Some (S_col j as s) -> (
+          let c = i.col j in
+          match c.C.c_vec with
+          | C.V_int a -> KB_int (a, c.C.c_nulls, fun k -> Value.Int k)
+          | C.V_date a -> KB_int (a, c.C.c_nulls, fun k -> Value.Date k)
+          | C.V_str a -> KB_str (a, c.C.c_nulls)
+          | _ -> KB_gen (value_of i orows s))
+      | Some s -> KB_gen (value_of i orows s));
+    Itbl.reset itbl;
+    Stbl.reset stbl;
+    Hval.reset vtbl;
+    null_gid := -1;
+    ng := 0;
+    g_key := [||];
+    g_rows := [||];
+    runs :=
+      Array.map
+        (function None -> G_unit | Some s -> mk_run i orows s)
+        args;
+    (* the one implicit group of a keyless aggregation *)
+    if Option.is_none key then ignore (new_group Value.Null)
+  in
+  let c_next () =
+    if !emitted then None
+    else begin
+      emitted := true;
+      let ntot = ref 0 in
+      while ch.ch_step () do
+        let n = vb.n in
+        meter.Meter.agg_rows <- meter.Meter.agg_rows + n;
+        (match ch.ch_root_stat with
+        | Some st -> st.ns_sel_in <- st.ns_sel_in + n
+        | None -> ());
+        ntot := !ntot + n;
+        let sel = vb.sel in
+        if vb.dense then
+          for s = 0 to n - 1 do
+            Array.unsafe_set sel s (vb.lo + s)
+          done;
+        assign n sel;
+        let rows = !g_rows in
+        for s = 0 to n - 1 do
+          let g = Array.unsafe_get gids s in
+          Array.unsafe_set rows g (Array.unsafe_get rows g + 1)
+        done;
+        Array.iter (run_add ~n ~sel ~gids) !runs
+      done;
+      if ag.ag_sorted then charge_sort ctx !ntot;
+      let aggs = List.map fst ag.ag_aggs in
+      let render g =
+        let n = !g_rows.(g) in
+        let accs = List.map (run_acc g) (Array.to_list !runs) in
+        let vals =
+          if ag.ag_partial then
+            List.concat (List.map2 (partial_state n) aggs accs)
+          else
+            List.map2
+              (fun a acc -> acc_result a acc ~rows_in_group:n)
+              aggs accs
+        in
+        Array.of_list (if Option.is_none key then vals else !g_key.(g) :: vals)
+      in
+      if !ng = 0 then None
+      else Some { B.data = Array.init !ng render; len = !ng }
+    end
+  in
+  { c_open; c_next; c_close = ch.ch_close }
+
+let build (ctx : ctx) (scopes : layout list) (cd : chain_desc) : cursor =
+  let meter = ctx.meter and binds = ctx.binds in
+  let scan_layout = Plan.layout cd.cd_scan ctx.db.Db.cat in
+  let src e = compile_src ~meter ~binds scan_layout scopes e in
+  let ch = chain ctx scopes cd in
   match cd.cd_root with
   | R_pipe ->
       (* identity edge: the surviving selection materializes as the
          original base-row pointers, no copying or re-boxing *)
-      let rec next () =
-        if step () then
-          if vb.n = 0 then next ()
-          else begin
-            let data = out.B.data in
-            let rows = !base in
-            (if vb.dense then begin
-               let k = ref 0 in
-               for i = vb.lo to vb.hi - 1 do
-                 Array.unsafe_set data !k (Array.unsafe_get rows i);
-                 incr k
-               done
-             end
-             else
-               let sel = vb.sel in
-               for s = 0 to vb.n - 1 do
-                 Array.unsafe_set data s
-                   (Array.unsafe_get rows (Array.unsafe_get sel s))
-               done);
-            out.B.len <- vb.n;
-            Some out
-          end
-        else None
-      in
-      { c_open = open_chain; c_next = next; c_close = close_chain }
+      emitting ch ~size:ctx.size Fun.id
   | R_project items ->
-      let fitems =
-        Array.of_list
-          (List.map
-             (fun (e, _) ->
-               match e with
-               | A.Col c -> (
-                   match Eval.find_col scan_layout c with
-                   | Some j -> `Col j
-                   | None ->
-                       `Expr
-                         (Eval.compile_expr ~meter ~binds
-                            (scan_layout :: scopes) e))
-               | A.Const v -> `Const v
-               | A.Bind (i, peek) ->
-                   `Const
-                     (if i >= 0 && i < Array.length binds then binds.(i)
-                      else peek)
-               | _ ->
-                   `Expr
-                     (Eval.compile_expr ~meter ~binds (scan_layout :: scopes) e))
-             items)
-      in
+      let fitems = Array.of_list (List.map (fun (e, _) -> src e) items) in
       let ni = Array.length fitems in
-      let emit_row r orows =
-        let o = Array.make ni Value.Null in
-        for k = 0 to ni - 1 do
-          Array.unsafe_set o k
-            (match Array.unsafe_get fitems k with
-            | `Col j -> Array.unsafe_get r j
-            | `Const v -> v
-            | `Expr f -> f (r :: orows))
-        done;
-        o
-      in
-      let rec next () =
-        if step () then
-          if vb.n = 0 then next ()
-          else begin
-            (match root_stat with
-            | Some st -> st.ns_sel_in <- st.ns_sel_in + vb.n
-            | None -> ());
-            let data = out.B.data in
-            let rows = !base in
-            let orows = !orows_r in
-            (if vb.dense then begin
-               let k = ref 0 in
-               for i = vb.lo to vb.hi - 1 do
-                 Array.unsafe_set data !k
-                   (emit_row (Array.unsafe_get rows i) orows);
-                 incr k
-               done
-             end
-             else
-               let sel = vb.sel in
-               for s = 0 to vb.n - 1 do
-                 Array.unsafe_set data s
-                   (emit_row (Array.unsafe_get rows (Array.unsafe_get sel s))
-                      orows)
-               done);
-            out.B.len <- vb.n;
-            Some out
-          end
-        else None
-      in
-      { c_open = open_chain; c_next = next; c_close = close_chain }
-  | R_agg (strategy, aggs) ->
-      let srcs =
-        Array.of_list
-          (List.map
-             (fun (_, _, eo, _) ->
-               match eo with
-               | None -> AS_none
-               | Some (A.Col c as e) -> (
-                   match Eval.find_col scan_layout c with
-                   | Some j -> AS_col j
-                   | None ->
-                       AS_expr
-                         (Eval.compile_expr ~meter ~binds
-                            (scan_layout :: scopes) e))
-               | Some e ->
-                   AS_expr
-                     (Eval.compile_expr ~meter ~binds (scan_layout :: scopes) e))
-             aggs)
-      in
-      let kinds = Array.of_list (List.map (fun (_, a, _, _) -> a) aggs) in
-      let runs = ref [||] in
-      let ntot = ref 0 in
-      let emitted = ref false in
-      let accumulate orows =
-        let rows = !base in
-        Array.iter
-          (fun ar ->
-            match ar with
-            | AR_unit -> ()
-            | AR_int (a, nulls, st) ->
-                let add i =
-                  if not (C.bitmap_get nulls i) then begin
-                    let v = Array.unsafe_get a i in
-                    if st.ic = 0 then begin
-                      st.isum <- v;
-                      st.imn <- v;
-                      st.imx <- v
-                    end
-                    else begin
-                      st.isum <- st.isum + v;
-                      if v < st.imn then st.imn <- v;
-                      if v > st.imx then st.imx <- v
-                    end;
-                    st.ic <- st.ic + 1
-                  end
-                in
-                if vb.dense then
-                  for i = vb.lo to vb.hi - 1 do
-                    add i
-                  done
-                else
-                  for s = 0 to vb.n - 1 do
-                    add (Array.unsafe_get vb.sel s)
-                  done
-            | AR_float (a, nulls, st) ->
-                (* sum in selection order, min/max via [compare] — the
-                   float image of the generic accumulator, bit-exact *)
-                let add i =
-                  if not (C.bitmap_get nulls i) then begin
-                    let v = Array.unsafe_get a i in
-                    if st.fc = 0 then begin
-                      st.fsum <- v;
-                      st.fmn <- v;
-                      st.fmx <- v
-                    end
-                    else begin
-                      st.fsum <- st.fsum +. v;
-                      if Stdlib.compare v st.fmn < 0 then st.fmn <- v;
-                      if Stdlib.compare v st.fmx > 0 then st.fmx <- v
-                    end;
-                    st.fc <- st.fc + 1
-                  end
-                in
-                if vb.dense then
-                  for i = vb.lo to vb.hi - 1 do
-                    add i
-                  done
-                else
-                  for s = 0 to vb.n - 1 do
-                    add (Array.unsafe_get vb.sel s)
-                  done
-            | AR_col (j, acc) ->
-                let add i =
-                  acc_add false acc (Array.unsafe_get (Array.unsafe_get rows i) j)
-                in
-                if vb.dense then
-                  for i = vb.lo to vb.hi - 1 do
-                    add i
-                  done
-                else
-                  for s = 0 to vb.n - 1 do
-                    add (Array.unsafe_get vb.sel s)
-                  done
-            | AR_expr (f, acc) ->
-                let add i =
-                  acc_add false acc (f (Array.unsafe_get rows i :: orows))
-                in
-                if vb.dense then
-                  for i = vb.lo to vb.hi - 1 do
-                    add i
-                  done
-                else
-                  for s = 0 to vb.n - 1 do
-                    add (Array.unsafe_get vb.sel s)
-                  done)
-          !runs
-      in
-      let c_open orows =
-        open_chain orows;
-        ntot := 0;
-        emitted := false;
-        let cb = match !cbref with Some cb -> cb | None -> assert false in
-        runs := Array.map (mk_run cb) srcs
-      in
-      let c_next () =
-        if !emitted then None
-        else begin
-          let orows = !orows_r in
-          while step () do
-            meter.Meter.agg_rows <- meter.Meter.agg_rows + vb.n;
-            (match root_stat with
-            | Some st -> st.ns_sel_in <- st.ns_sel_in + vb.n
-            | None -> ());
-            ntot := !ntot + vb.n;
-            accumulate orows
+      emitting ch ~size:ctx.size (fun r ->
+          let orows = !(ch.ch_orows) in
+          let o = Array.make ni Value.Null in
+          for k = 0 to ni - 1 do
+            Array.unsafe_set o k
+              (match Array.unsafe_get fitems k with
+              | S_col j -> Array.unsafe_get r j
+              | S_fun f -> f r orows)
           done;
-          (match strategy with
-          | `Sort -> charge_sort ctx !ntot
-          | `Hash -> ());
-          emitted := true;
-          let o =
-            Array.init (Array.length kinds) (fun k ->
-                run_result kinds.(k) !runs.(k) ~rows_in_group:!ntot)
-          in
-          out.B.data.(0) <- o;
-          out.B.len <- 1;
-          Some out
-        end
-      in
-      { c_open; c_next; c_close = close_chain }
+          o)
+  | R_agg ag ->
+      agg_cursor ctx ch
+        ~key:(Option.map src ag.ag_key)
+        ~args:
+          (Array.of_list
+             (List.map (fun (_, eo) -> Option.map src eo) ag.ag_aggs))
+        ag
 
 (* ------------------------------------------------------------------ *)
 (* The hybrid choice                                                    *)

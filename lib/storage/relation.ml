@@ -21,23 +21,35 @@ type part = {
   p_offsets : int array;
 }
 
+(** A per-column image derived from the rows — the columnar engine's
+    typed vectors. The storage layer only owns and publishes images;
+    the layer that builds them adds its constructor to this type. *)
+type image = ..
+
+(* The images of one row array, one lazily built slot per column. *)
+type images = { im_rows : tuple array; im_cols : image option Atomic.t array }
+
 type t = {
   r_name : string;
   r_schema : string array;
   mutable r_rows : tuple array;
   mutable r_part : part option;
+  r_images : images Atomic.t;
 }
 
-let create ~name ~schema rows =
-  {
-    r_name = name;
-    r_schema = Array.of_list schema;
-    r_rows = Array.of_list rows;
-    r_part = None;
-  }
+let no_images = { im_rows = [||]; im_cols = [||] }
 
 let of_arrays ~name ~schema rows =
-  { r_name = name; r_schema = schema; r_rows = rows; r_part = None }
+  {
+    r_name = name;
+    r_schema = schema;
+    r_rows = rows;
+    r_part = None;
+    r_images = Atomic.make no_images;
+  }
+
+let create ~name ~schema rows =
+  of_arrays ~name ~schema:(Array.of_list schema) (Array.of_list rows)
 
 let cardinality r = Array.length r.r_rows
 
@@ -59,6 +71,42 @@ let get r ~row ~col = r.r_rows.(row).(col_index r col)
 
 let iter f r = Array.iter f r.r_rows
 let iteri f r = Array.iteri f r.r_rows
+
+(* ------------------------------------------------------------------ *)
+(* Per-column images                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** The image of column [col] of [rows], built by [build] on first use.
+    Images are immutable and published atomically, so any domain may
+    read them and a racing second build is simply discarded. They are
+    kept for the current [r_rows] array only: a mutation installs a
+    fresh array and drops them, and a [rows] that is no longer current
+    gets an unpublished image. They live and die with the relation. *)
+let rec image r ~(rows : tuple array) col ~(build : unit -> image) : image =
+  if col < 0 || col >= Array.length r.r_schema then
+    invalid_arg "Relation.image: column out of range";
+  let im = Atomic.get r.r_images in
+  if im.im_rows == rows && Array.length im.im_cols > 0 then begin
+    let slot = im.im_cols.(col) in
+    match Atomic.get slot with
+    | Some i -> i
+    | None ->
+        let i = build () in
+        if Atomic.compare_and_set slot None (Some i) then i
+        else Option.get (Atomic.get slot)
+  end
+  else if rows == r.r_rows then begin
+    let fresh =
+      {
+        im_rows = rows;
+        im_cols =
+          Array.init (Array.length r.r_schema) (fun _ -> Atomic.make None);
+      }
+    in
+    ignore (Atomic.compare_and_set r.r_images im fresh);
+    image r ~rows col ~build
+  end
+  else build ()
 
 (* ------------------------------------------------------------------ *)
 (* Partitioning                                                         *)
@@ -129,15 +177,17 @@ let partition r (spec : Catalog.part_spec) =
       cursor.(p) <- cursor.(p) + 1)
     r.r_rows;
   r.r_rows <- dst;
+  Atomic.set r.r_images no_images;
   r.r_part <- Some { p_spec = spec; p_key = key; p_offsets = offsets }
 
 (** Append a tuple. Partitioned relations stay partition-contiguous:
     the row is spliced into the end of its home partition and the
     offsets of every later partition shift by one. Like the
-    unpartitioned append, this moves [r_rows] to a fresh array (the
-    columnar loader keys its cache on the array's physical identity)
-    and leaves any B-tree rowids to the caller. *)
+    unpartitioned append, this moves [r_rows] to a fresh array and
+    drops the column images of the old one; it leaves any B-tree rowids
+    to the caller. *)
 let append r tup =
+  Atomic.set r.r_images no_images;
   match r.r_part with
   | None -> r.r_rows <- Array.append r.r_rows [| tup |]
   | Some p ->

@@ -14,9 +14,10 @@
     The columnar sections extend the same discipline to the vectorized
     engine: forced-engine runs (Baseline vs Row vs Vector) must agree
     on rows and every meter field across batch sizes, selection-vector
-    representation (dense vs sparse) must be unobservable, and the
+    representation (dense vs sparse) must be unobservable, the
     {!Exec.Colbatch} null bitmaps must roundtrip rows coming out of
-    null-extending outer joins. *)
+    null-extending outer joins, and column images must not keep a
+    dropped database's rows alive. *)
 
 module QG = Workload.Query_gen
 module SG = Workload.Schema_gen
@@ -318,9 +319,9 @@ let test_vec_alloc_accounting () =
     Array.init n (fun i ->
         [| V.Int i; V.Float (float_of_int i); V.Str (string_of_int i) |])
   in
-  let w0 = !M.vec_alloc_words in
+  let w0 = Atomic.get M.vec_alloc_words in
   ignore (Exec.Colbatch.of_rows rows ~width);
-  let dw = !M.vec_alloc_words - w0 in
+  let dw = Atomic.get M.vec_alloc_words - w0 in
   (* at least one word per slot per column, plus the null bitmaps *)
   let bitmap_words = ((n + 7) / 8 + (Sys.word_size / 8) - 1) / (Sys.word_size / 8) in
   Alcotest.(check int) "words charged for a 3-column image"
@@ -329,6 +330,42 @@ let test_vec_alloc_accounting () =
   Alcotest.(check int) "bytes view is words scaled"
     (dw * (Sys.word_size / 8))
     (M.vec_alloc_bytes () - (w0 * (Sys.word_size / 8)))
+
+(* ------------------------------------------------------------------ *)
+(* Columnar images die with their database                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A vectorized pipeline builds column images of the table it scans;
+   once the database is dropped, nothing may keep its rows alive. *)
+let test_images_die_with_db () =
+  let module A = Sqlir.Ast in
+  let rows = Weak.create 1 in
+  let run () =
+    let db, _ =
+      SG.build ~families:1 ~sample_frac:0.5 ~row_scale:0.05 ~seed:3 ()
+    in
+    let rel = Storage.Db.relation db "f0_fact0" in
+    Weak.set rows 0 (Some rel.Storage.Relation.r_rows);
+    let m1 = A.Col { A.c_alias = "f"; A.c_col = "m1" } in
+    let plan =
+      Plan.Table_scan
+        {
+          table = "f0_fact0";
+          alias = "f";
+          filter = [ A.Cmp (A.Gt, m1, A.Const (V.Int 0)) ];
+        }
+    in
+    let es = Exec.Executor.engine_stats_create () in
+    ignore
+      (Exec.Executor.execute ~engine:Exec.Executor.Vector ~engine_stats:es db
+         plan);
+    es.Exec.Executor.es_vector
+  in
+  Alcotest.(check int) "the pipeline vectorized" 1
+    ((Sys.opaque_identity run) ());
+  Gc.full_major ();
+  Alcotest.(check bool) "the dropped database's rows are collected" true
+    (Weak.get rows 0 = None)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
@@ -351,6 +388,8 @@ let () =
               test_null_bitmap_outer_join;
             Alcotest.test_case "per-column-vector allocation accounting"
               `Quick test_vec_alloc_accounting;
+            Alcotest.test_case "images die with their database" `Quick
+              test_images_die_with_db;
           ] );
       ( "caching",
         [
