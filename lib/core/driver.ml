@@ -337,16 +337,14 @@ let record ctx name ~objects ~strategy ~states ~chosen ~base ~best =
     :: ctx.steps
 
 (** One cost-based transformation step: search the state space of
-    [objects]/[apply_mask] and apply the winning mask. [interleave_with]
+    [tx]'s objects and apply the winning mask. [interleave_with]
     optionally posts-processes each candidate with a follow-on
     transformation for costing purposes only (Section 3.3.1). *)
-let cost_step (ctx : ctx) (name : string)
-    ~(objects : Catalog.t -> A.query -> string list)
-    ~(apply_mask :
-       ?touched:Walk.Sset.t ref -> Catalog.t -> A.query -> bool list -> A.query)
+let cost_step (ctx : ctx) (tx : T.Tx.t)
     ?(interleave_with : (Catalog.t -> A.query -> A.query) option)
     ?(heuristic_mask : (Catalog.t -> A.query -> bool list) option)
     (decision : decision) (q : A.query) : A.query =
+  let name = tx.T.Tx.name and apply_mask = tx.T.Tx.apply_mask in
   match decision with
   | D_off -> q
   | D_heuristic -> (
@@ -364,8 +362,7 @@ let cost_step (ctx : ctx) (name : string)
                 q)))
   | D_cost ->
       Tr.wrap_with ctx.tr Tr.Attempt name (fun sp ->
-      let objs = objects ctx.cat q in
-      let n = List.length objs in
+      let n = List.length (tx.T.Tx.discover ctx.cat q) in
       if n = 0 then (
         Tr.add_attrs sp [ ("outcome", Tr.S "not-applicable") ];
         q)
@@ -465,7 +462,7 @@ let cost_step (ctx : ctx) (name : string)
     sequential JPPD step later (the paper's mitigation in 3.3.3). *)
 let gb_merge_juxtaposed (ctx : ctx) (q : A.query) : A.query =
   Tr.wrap_with ctx.tr Tr.Attempt "gb-view-merge" (fun sp ->
-  let merge_objs = T.Gb_view_merge.discover ctx.cat q in
+  let merge_objs = T.Gb_view_merge.tx.T.Tx.discover ctx.cat q in
   let n = List.length merge_objs in
   if n = 0 then (
     Tr.add_attrs sp [ ("outcome", Tr.S "not-applicable") ];
@@ -489,8 +486,14 @@ let gb_merge_juxtaposed (ctx : ctx) (q : A.query) : A.query =
     let chosen = ref [] in
     let current = ref q in
     let base = eval ~label:"base" ~is_base:true ~dirty:None q in
+    (* the mask selecting the object at [o]'s block and key *)
+    let mask_at (tx : T.Tx.t) (o : T.Tx.obj) q =
+      List.map
+        (fun (o' : T.Tx.obj) -> o'.block = o.block && o'.key = o.key)
+        (tx.discover ctx.cat q)
+    in
     List.iteri
-      (fun i (qb, alias) ->
+      (fun i o ->
         (* [!current] was fully costed when it was accepted, so nothing
            in it is dirty *)
         let cost_none =
@@ -499,10 +502,7 @@ let gb_merge_juxtaposed (ctx : ctx) (q : A.query) : A.query =
             ~is_base:false ~dirty:(Some Walk.Sset.empty) !current
         in
         (* merging exactly this object on the current tree *)
-        let cur_objs = T.Gb_view_merge.discover ctx.cat !current in
-        let mask =
-          List.map (fun (qb', a') -> qb' = qb && a' = alias) cur_objs
-        in
+        let mask = mask_at T.Gb_view_merge.tx o !current in
         let merge_touched = ref Walk.Sset.empty in
         let merged =
           if List.exists Fun.id mask then
@@ -518,10 +518,7 @@ let gb_merge_juxtaposed (ctx : ctx) (q : A.query) : A.query =
               ~is_base:false ~dirty:(Some !merge_touched) merged
         in
         (* the JPPD rival on the same view, if applicable *)
-        let jppd_objs = T.Jppd.discover ctx.cat !current in
-        let jppd_mask =
-          List.map (fun (qb', a') -> qb' = qb && a' = alias) jppd_objs
-        in
+        let jppd_mask = mask_at T.Jppd.tx o !current in
         let cost_jppd =
           if ctx.cfg.juxtapose && List.exists Fun.id jppd_mask then (
             let touched = ref Walk.Sset.empty in
@@ -587,8 +584,7 @@ let transform (ctx : ctx) (q : A.query) : A.query =
     | D_off -> q
     | D_heuristic | D_cost ->
         let q = imperative ctx "unnest-merge" T.Unnest_merge.apply q in
-        cost_step ctx "unnest" ~objects:T.Unnest_view.objects
-          ~apply_mask:T.Unnest_view.apply_mask
+        cost_step ctx T.Unnest_view.tx
           ~interleave_with:T.Gb_view_merge.apply_all
           ~heuristic_mask:T.Unnest_view.heuristic_mask ctx.cfg.unnest q
   in
@@ -605,39 +601,19 @@ let transform (ctx : ctx) (q : A.query) : A.query =
   let q = heuristics ctx q in
   (* 5. set operators into joins; the conversion manufactures SPJ
      views, so the imperative phase runs again afterwards *)
-  let q =
-    cost_step ctx "setop-to-join" ~objects:T.Setop_to_join.objects
-      ~apply_mask:T.Setop_to_join.apply_mask ctx.cfg.setop_to_join q
-  in
+  let q = cost_step ctx T.Setop_to_join.tx ctx.cfg.setop_to_join q in
   let q = heuristics ctx q in
   (* 6. group-by placement (never heuristic, as in Oracle) *)
-  let q =
-    cost_step ctx "gb-placement" ~objects:T.Gb_placement.objects
-      ~apply_mask:T.Gb_placement.apply_mask ctx.cfg.gbp q
-  in
+  let q = cost_step ctx T.Gb_placement.tx ctx.cfg.gbp q in
   (* 7. predicate pullup *)
-  let q =
-    cost_step ctx "predicate-pullup" ~objects:T.Predicate_pullup.objects
-      ~apply_mask:T.Predicate_pullup.apply_mask ctx.cfg.pred_pullup q
-  in
+  let q = cost_step ctx T.Predicate_pullup.tx ctx.cfg.pred_pullup q in
   (* 8. join factorization *)
-  let q =
-    cost_step ctx "join-factorization" ~objects:T.Join_factor.objects
-      ~apply_mask:T.Join_factor.apply_mask ctx.cfg.join_factor q
-  in
+  let q = cost_step ctx T.Join_factor.tx ctx.cfg.join_factor q in
   (* 9. disjunction into UNION ALL *)
-  let q =
-    cost_step ctx "or-expansion" ~objects:T.Or_expansion.objects
-      ~apply_mask:T.Or_expansion.apply_mask ctx.cfg.or_expansion q
-  in
+  let q = cost_step ctx T.Or_expansion.tx ctx.cfg.or_expansion q in
   let q = heuristics ctx q in
   (* 10. join predicate pushdown *)
-  let q =
-    cost_step ctx "jppd" ~objects:T.Jppd.objects
-      ~apply_mask:T.Jppd.apply_mask ~heuristic_mask:T.Jppd.heuristic_mask
-      ctx.cfg.jppd q
-  in
-  q
+  cost_step ctx T.Jppd.tx ~heuristic_mask:T.Jppd.heuristic_mask ctx.cfg.jppd q
 
 (** Transform and physically optimize [q]. *)
 let optimize ?(config = default_config) (cat : Catalog.t) (q : A.query) :

@@ -36,11 +36,6 @@ let index_probe ~height ~entries ~rows ~out =
 let sort ~rows =
   if rows <= 1. then 0. else w_cmp *. rows *. (Float.max 1. (log rows /. log 2.))
 
-(** Nested loops: left cost, then one execution of the right side per
-    left row, plus the pair-evaluation tax. *)
-let nl_join ~lcost ~lrows ~rcost_per_probe ~pairs ~out =
-  lcost +. (lrows *. rcost_per_probe) +. (w_join *. pairs) +. out_tax out
-
 let hash_join ~lcost ~rcost ~lrows ~rrows ~pairs ~out =
   lcost +. rcost +. (w_hash_build *. rrows) +. (w_hash_probe *. lrows)
   +. (w_join *. pairs) +. out_tax out

@@ -226,10 +226,6 @@ let quantile_of_snapshot (s : hist_snapshot) q =
     [nan] while empty. *)
 let quantile h q = quantile_of_snapshot (hist_snapshot h) q
 
-let hist_mean h =
-  let s = hist_snapshot h in
-  if s.sn_count = 0 then nan else s.sn_sum /. float_of_int s.sn_count
-
 (** Merge [src] into [dst] field-wise: afterwards [dst] reads exactly
     like the histogram that would have recorded both observation
     streams. The merge lands in [dst]'s first stripe. *)

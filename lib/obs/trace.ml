@@ -31,8 +31,6 @@
 
 type level = Off | Steps | Full
 
-let level_name = function Off -> "off" | Steps -> "steps" | Full -> "full"
-
 let level_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "" | "0" | "off" | "none" | "false" -> Some Off

@@ -95,13 +95,6 @@ let await (h : handle) : outcome =
   Mutex.unlock h.h_mu;
   o
 
-(** Non-blocking peek at the outcome. *)
-let poll (h : handle) : outcome option =
-  Mutex.lock h.h_mu;
-  let o = h.h_outcome in
-  Mutex.unlock h.h_mu;
-  o
-
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                             *)
 (* ------------------------------------------------------------------ *)

@@ -448,18 +448,7 @@ let exec_ir t (q : A.query) (binds : Value.t list) : exec_result =
         r)
   in
   let exec_s = Unix.gettimeofday () -. e0 in
-  t.estats.Exec.Executor.es_vector <-
-    t.estats.Exec.Executor.es_vector + es.Exec.Executor.es_vector;
-  t.estats.Exec.Executor.es_row <-
-    t.estats.Exec.Executor.es_row + es.Exec.Executor.es_row;
-  t.estats.Exec.Executor.es_parts_scanned <-
-    t.estats.Exec.Executor.es_parts_scanned
-    + es.Exec.Executor.es_parts_scanned;
-  t.estats.Exec.Executor.es_parts_pruned <-
-    t.estats.Exec.Executor.es_parts_pruned
-    + es.Exec.Executor.es_parts_pruned;
-  if es.Exec.Executor.es_dop > t.estats.Exec.Executor.es_dop then
-    t.estats.Exec.Executor.es_dop <- es.Exec.Executor.es_dop;
+  Exec.Cursor.add_engine_stats (Some t.estats) es;
   let nrows = List.length rows in
   (if metrics_on t then begin
      Mx.observe (Lazy.force m_execute) exec_s;

@@ -128,10 +128,6 @@ let conj = function
 
 let rec disjuncts = function Or (a, b) -> disjuncts a @ disjuncts b | p -> [ p ]
 
-let disj = function
-  | [] -> False
-  | p :: ps -> List.fold_left (fun acc q -> Or (acc, q)) p ps
-
 let is_inner fe = fe.fe_kind = J_inner
 
 (** All blocks of a set-operation tree, left to right. *)

@@ -149,7 +149,6 @@ and pp_query ppf = function
 
 let expr_to_string e = Fmt.str "%a" pp_expr e
 let pred_to_string p = Fmt.str "%a" pp_pred p
-let block_to_string b = Fmt.str "%a" pp_block b
 let query_to_string q = Fmt.str "%a" pp_query q
 
 (** Canonical fingerprint of a query (sub-)tree, used as the key for

@@ -21,14 +21,6 @@ let ty_name = function
   | T_bool -> "bool"
   | T_date -> "date"
 
-let type_of = function
-  | Null -> None
-  | Int _ -> Some T_int
-  | Float _ -> Some T_float
-  | Str _ -> Some T_str
-  | Bool _ -> Some T_bool
-  | Date _ -> Some T_date
-
 let is_null = function Null -> true | _ -> false
 
 (** Total order used by sort operators, B-tree indexes and group-by

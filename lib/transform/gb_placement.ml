@@ -238,54 +238,22 @@ let apply_to_block gen (b : A.block) (tgt : target) : A.block =
 (* CBQT interface                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let name = "gb-placement"
+let tx =
+  Tx.in_blocks ~name:"gb-placement"
+    ~find:(fun _cat b ->
+      List.filter_map
+        (fun fe ->
+          if classify b fe = None then None
+          else Some (fe.A.fe_alias, Printf.sprintf "gbp(%s)" fe.A.fe_alias))
+        b.A.from)
+    ~apply:(fun _cat q ->
+      let gen = Walk.fresh_alias_gen [ q ] in
+      fun site b ->
+        match Option.bind (Tx.entry b site.Tx.key) (classify b) with
+        | Some tgt -> A.Block (apply_to_block gen b tgt)
+        | None -> A.Block b)
 
-let discover (_cat : Catalog.t) (q : A.query) : (string * string) list =
-  let objs = ref [] in
-  ignore
-    (Tx.map_blocks_bottom_up
-       (fun b ->
-         List.iter
-           (fun fe ->
-             if classify b fe <> None then
-               objs := (b.A.qb_name, fe.A.fe_alias) :: !objs)
-           b.A.from;
-         b)
-       q);
-  List.rev !objs
-
-let objects (cat : Catalog.t) (q : A.query) : string list =
-  List.map (fun (qb, a) -> Printf.sprintf "%s:gbp(%s)" qb a) (discover cat q)
-
-let apply_mask ?touched (cat : Catalog.t) (q : A.query) (mask : bool list) :
-    A.query =
-  let gen = Walk.fresh_alias_gen [ q ] in
-  let plan =
-    List.mapi
-      (fun i (qb, key) ->
-        ( qb,
-          key,
-          match List.nth_opt mask i with Some b -> b | None -> false ))
-      (discover cat q)
-  in
-  Tx.map_blocks_bottom_up ?touched
-    (fun b ->
-      List.fold_left
-        (fun b (qb, alias, selected) ->
-          if (not (String.equal qb b.A.qb_name)) || not selected then b
-          else
-            match
-              List.find_opt
-                (fun fe -> String.equal fe.A.fe_alias alias)
-                b.A.from
-            with
-            | None -> b
-            | Some fe -> (
-                match classify b fe with
-                | Some tgt -> apply_to_block gen b tgt
-                | None -> b))
-        b plan)
-    q
-
-let apply_all cat q =
-  apply_mask cat q (List.map (fun _ -> true) (objects cat q))
+let discover = tx.Tx.discover
+let objects = Tx.objects tx
+let apply_mask = tx.Tx.apply_mask
+let apply_all = Tx.apply_all tx

@@ -226,76 +226,30 @@ let merge_distinct (cat : Catalog.t) (parent : A.block) (fe : A.from_entry)
 (* CBQT interface                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let name = "gb-view-merge"
+let tx =
+  Tx.in_blocks ~name:"gb-view-merge"
+    ~find:(fun cat b ->
+      List.filter_map
+        (fun fe ->
+          let tag kind =
+            Some (fe.A.fe_alias, Printf.sprintf "%s(%s)" kind fe.A.fe_alias)
+          in
+          match classify cat b fe with
+          | Some (`Groupby _) -> tag "gb-merge"
+          | Some (`Distinct _) -> tag "distinct-merge"
+          | None -> None)
+        b.A.from)
+    ~apply:(fun cat _q site b ->
+      match Tx.entry b site.Tx.key with
+      | None -> A.Block b
+      | Some fe -> (
+          (* an earlier application may have invalidated this object *)
+          match classify cat b fe with
+          | Some (`Groupby vb) -> A.Block (merge_groupby cat b fe vb)
+          | Some (`Distinct vb) -> A.Block (merge_distinct cat b fe vb)
+          | None -> A.Block b))
 
-let objects (cat : Catalog.t) (q : A.query) : string list =
-  let objs = ref [] in
-  ignore
-    (Tx.map_blocks_bottom_up
-       (fun b ->
-         List.iter
-           (fun fe ->
-             match classify cat b fe with
-             | Some (`Groupby _) ->
-                 objs := Printf.sprintf "%s:gb-merge(%s)" b.A.qb_name fe.A.fe_alias :: !objs
-             | Some (`Distinct _) ->
-                 objs :=
-                   Printf.sprintf "%s:distinct-merge(%s)" b.A.qb_name fe.A.fe_alias
-                   :: !objs
-             | None -> ())
-           b.A.from;
-         b)
-       q);
-  List.rev !objs
-
-(** Discovery, keyed by (block name, view alias); stable under the
-    rewrites this transformation itself performs, so mask application
-    can replay it. *)
-let discover (cat : Catalog.t) (q : A.query) : (string * string) list =
-  let objs = ref [] in
-  ignore
-    (Tx.map_blocks_bottom_up
-       (fun b ->
-         List.iter
-           (fun fe ->
-             if classify cat b fe <> None then
-               objs := (b.A.qb_name, fe.A.fe_alias) :: !objs)
-           b.A.from;
-         b)
-       q);
-  List.rev !objs
-
-let apply_mask ?touched (cat : Catalog.t) (q : A.query) (mask : bool list) :
-    A.query =
-  let plan =
-    List.mapi
-      (fun i (qb, key) ->
-        ( qb,
-          key,
-          match List.nth_opt mask i with Some b -> b | None -> false ))
-      (discover cat q)
-  in
-  Tx.map_blocks_bottom_up ?touched
-    (fun b ->
-      List.fold_left
-        (fun b (qb, alias, selected) ->
-          if (not (String.equal qb b.A.qb_name)) || not selected then b
-          else
-            match
-              List.find_opt
-                (fun fe' -> String.equal fe'.A.fe_alias alias)
-                b.A.from
-            with
-            | None -> b
-            | Some fe' -> (
-                (* an earlier application may have invalidated this
-                   object; re-check and skip silently if so *)
-                match classify cat b fe' with
-                | Some (`Groupby vb) -> merge_groupby cat b fe' vb
-                | Some (`Distinct vb) -> merge_distinct cat b fe' vb
-                | None -> b))
-        b plan)
-    q
-
-let apply_all cat q =
-  apply_mask cat q (List.map (fun _ -> true) (objects cat q))
+let discover = tx.Tx.discover
+let objects = Tx.objects tx
+let apply_mask = tx.Tx.apply_mask
+let apply_all = Tx.apply_all tx

@@ -378,39 +378,40 @@ let apply_candidate gen (q : A.query) (cand : candidate) : A.query =
 (* CBQT interface                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let name = "join-factorization"
+(** Objects: factorable tables of the top-level UNION ALL. At most one
+    factorization is applied: factoring one table restructures the
+    query, and the next table would be an object of the new tree. *)
+let tx =
+  {
+    Tx.name = "join-factorization";
+    discover =
+      (fun _cat q ->
+        (* top-level set-op only; nested union-all views are reachable
+           after other transformations, which is enough for our
+           workloads *)
+        List.map
+          (fun c ->
+            {
+              Tx.block = "<top>";
+              key = c.c_table;
+              label = Printf.sprintf "factor(%s)" c.c_table;
+            })
+          (classify_setop q));
+    apply_mask =
+      (fun ?touched _cat q mask ->
+        match Tx.selected mask (classify_setop q) with
+        | [] -> q
+        | (_, cand) :: _ ->
+            let q' = apply_candidate (Walk.fresh_alias_gen [ q ]) q cand in
+            (* factoring rebuilds the whole tree: report every block
+               that is not physically shared with the input as dirty *)
+            (match touched with
+            | Some r -> r := Walk.Sset.union !r (Tx.dirty_blocks q q')
+            | None -> ());
+            q');
+  }
 
-(** Objects: factorable tables of the top-level UNION ALL (or of
-    UNION ALL views one level down). *)
-let discover (_cat : Catalog.t) (q : A.query) : (string * string) list =
-  (* top-level set-op only; nested union-all views are reachable after
-     other transformations, which is enough for our workloads *)
-  List.map (fun c -> ("<top>", c.c_table)) (classify_setop q)
-
-let objects (cat : Catalog.t) (q : A.query) : string list =
-  List.map (fun (_, t) -> Printf.sprintf "factor(%s)" t) (discover cat q)
-
-let apply_mask ?touched (_cat : Catalog.t) (q : A.query) (mask : bool list) :
-    A.query =
-  let gen = Walk.fresh_alias_gen [ q ] in
-  let cands = classify_setop q in
-  (* apply at most one factorization (factoring one table restructures
-     the query; the next table would be an object of the new tree) *)
-  let rec pick i = function
-    | [] -> q
-    | cand :: rest ->
-        if match List.nth_opt mask i with Some true -> true | _ -> false then
-          apply_candidate gen q cand
-        else pick (i + 1) rest
-  in
-  let q' = pick 0 cands in
-  (* factoring rebuilds the whole tree: report every block that is not
-     physically shared with the input as dirty *)
-  (if q' != q then
-     match touched with
-     | None -> ()
-     | Some r -> r := Walk.Sset.union !r (Tx.dirty_blocks q q'));
-  q'
-
-let apply_all cat q =
-  apply_mask cat q (List.map (fun _ -> true) (objects cat q))
+let discover = tx.Tx.discover
+let objects = Tx.objects tx
+let apply_mask = tx.Tx.apply_mask
+let apply_all = Tx.apply_all tx

@@ -239,56 +239,23 @@ let apply_to_block (parent : A.block) (cd : candidate) : A.block =
 (* CBQT interface                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let name = "jppd"
+let tx =
+  Tx.in_blocks ~name:"jppd"
+    ~find:(fun _cat b ->
+      List.filter_map
+        (fun fe ->
+          if classify b fe = None then None
+          else Some (fe.A.fe_alias, Printf.sprintf "jppd(%s)" fe.A.fe_alias))
+        b.A.from)
+    ~apply:(fun _cat _q site b ->
+      match Option.bind (Tx.entry b site.Tx.key) (classify b) with
+      | Some cd -> A.Block (apply_to_block b cd)
+      | None -> A.Block b)
 
-let discover (_cat : Catalog.t) (q : A.query) : (string * string) list =
-  let objs = ref [] in
-  ignore
-    (Tx.map_blocks_bottom_up
-       (fun b ->
-         List.iter
-           (fun fe ->
-             if classify b fe <> None then
-               objs := (b.A.qb_name, fe.A.fe_alias) :: !objs)
-           b.A.from;
-         b)
-       q);
-  List.rev !objs
-
-let objects (cat : Catalog.t) (q : A.query) : string list =
-  List.map (fun (qb, a) -> Printf.sprintf "%s:jppd(%s)" qb a) (discover cat q)
-
-let apply_mask ?touched (cat : Catalog.t) (q : A.query) (mask : bool list) :
-    A.query =
-  let plan =
-    List.mapi
-      (fun i (qb, key) ->
-        ( qb,
-          key,
-          match List.nth_opt mask i with Some b -> b | None -> false ))
-      (discover cat q)
-  in
-  Tx.map_blocks_bottom_up ?touched
-    (fun b ->
-      List.fold_left
-        (fun b (qb, alias, selected) ->
-          if (not (String.equal qb b.A.qb_name)) || not selected then b
-          else
-            match
-              List.find_opt
-                (fun fe' -> String.equal fe'.A.fe_alias alias)
-                b.A.from
-            with
-            | None -> b
-            | Some fe' -> (
-                match classify b fe' with
-                | Some cd -> apply_to_block b cd
-                | None -> b))
-        b plan)
-    q
-
-let apply_all cat q =
-  apply_mask cat q (List.map (fun _ -> true) (objects cat q))
+let discover = tx.Tx.discover
+let objects = Tx.objects tx
+let apply_mask = tx.Tx.apply_mask
+let apply_all = Tx.apply_all tx
 
 (* ------------------------------------------------------------------ *)
 (* Heuristic rule for the CBQT-off baseline                             *)
@@ -301,47 +268,45 @@ let apply_all cat q =
     access path. *)
 let heuristic_mask (cat : Catalog.t) (q : A.query) : bool list =
   let decisions = ref [] in
-  ignore
-    (Tx.map_blocks_bottom_up
-       (fun b ->
-         List.iter
-           (fun fe ->
-             match classify b fe with
-             | None -> ()
-             | Some cd ->
-                 let indexed =
-                   List.exists
-                     (fun lb ->
-                       List.exists
-                         (fun (_, col, _) ->
-                           match
-                             List.find_opt
-                               (fun si -> String.equal si.A.si_name col)
-                               lb.A.select
-                           with
-                           | Some { A.si_expr = A.Col c; _ } -> (
-                               match
-                                 List.find_map
-                                   (fun e ->
-                                     if String.equal e.A.fe_alias c.A.c_alias
-                                     then
-                                       match e.A.fe_source with
-                                       | A.S_table t -> Some t
-                                       | _ -> None
-                                     else None)
-                                   lb.A.from
-                               with
-                               | Some t ->
-                                   Catalog.index_with_prefix cat ~table:t
-                                     ~cols:[ c.A.c_col ]
-                                   <> None
-                               | None -> false)
-                           | _ -> false)
-                         cd.cd_preds)
-                     cd.cd_leaves
-                 in
-                 decisions := indexed :: !decisions)
-           b.A.from;
-         b)
-       q);
+  Tx.iter_blocks
+    (fun b ->
+      List.iter
+        (fun fe ->
+          match classify b fe with
+          | None -> ()
+          | Some cd ->
+              let indexed =
+                List.exists
+                  (fun lb ->
+                    List.exists
+                      (fun (_, col, _) ->
+                        match
+                          List.find_opt
+                            (fun si -> String.equal si.A.si_name col)
+                            lb.A.select
+                        with
+                        | Some { A.si_expr = A.Col c; _ } -> (
+                            match
+                              List.find_map
+                                (fun e ->
+                                  if String.equal e.A.fe_alias c.A.c_alias
+                                  then
+                                    match e.A.fe_source with
+                                    | A.S_table t -> Some t
+                                    | _ -> None
+                                  else None)
+                                lb.A.from
+                            with
+                            | Some t ->
+                                Catalog.index_with_prefix cat ~table:t
+                                  ~cols:[ c.A.c_col ]
+                                <> None
+                            | None -> false)
+                        | _ -> false)
+                      cd.cd_preds)
+                  cd.cd_leaves
+              in
+              decisions := indexed :: !decisions)
+        b.A.from)
+    q;
   List.rev !decisions

@@ -104,97 +104,30 @@ let expand (b : A.block) (p : A.pred) (ds : A.pred list) : A.query =
 (* CBQT interface                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let name = "or-expansion"
+(** Objects are keyed by predicate fingerprint. At most one disjunction
+    per block is expanded: expanding replaces the block with a set
+    operation, which takes no further objects. *)
+let tx =
+  Tx.in_blocks ~name:"or-expansion"
+    ~find:(fun _cat b ->
+      List.filter_map
+        (fun p ->
+          if expandable b p = None then None
+          else Some (Pp.pred_to_string p, "or-expand"))
+        b.A.where)
+    ~apply:(fun _cat _q site b ->
+      match
+        List.find_opt
+          (fun p -> String.equal (Pp.pred_to_string p) site.Tx.key)
+          b.A.where
+      with
+      | Some p -> (
+          match expandable b p with
+          | Some ds -> expand b p ds
+          | None -> A.Block b)
+      | None -> A.Block b)
 
-let discover (_cat : Catalog.t) (q : A.query) : (string * string) list =
-  let objs = ref [] in
-  ignore
-    (Tx.map_blocks_bottom_up
-       (fun b ->
-         List.iter
-           (fun p ->
-             if expandable b p <> None then
-               objs := (b.A.qb_name, Pp.pred_to_string p) :: !objs)
-           b.A.where;
-         b)
-       q);
-  List.rev !objs
-
-let objects (cat : Catalog.t) (q : A.query) : string list =
-  List.map (fun (qb, _) -> Printf.sprintf "%s:or-expand" qb) (discover cat q)
-
-(** At most one disjunction per block is expanded (expanding replaces
-    the block with a set operation, relocating the others). *)
-let apply_mask ?touched (cat : Catalog.t) (q : A.query) (mask : bool list) :
-    A.query =
-  let plan =
-    List.mapi
-      (fun i (qb, key) ->
-        ( qb,
-          key,
-          match List.nth_opt mask i with Some b -> b | None -> false ))
-      (discover cat q)
-  in
-  (* sharing-preserving: blocks with no selected expansion and no
-     rewritten subtree are returned as the original nodes *)
-  let rec go (q : A.query) : A.query =
-    match q with
-    | A.Setop (op, l, r) ->
-        let l' = go l in
-        let r' = go r in
-        if l' == l && r' == r then q else A.Setop (op, l', r')
-    | A.Block b -> (
-        let from' =
-          Tx.map_sharing
-            (fun fe ->
-              match fe.A.fe_source with
-              | A.S_view vq ->
-                  let vq' = go vq in
-                  if vq' == vq then fe
-                  else { fe with A.fe_source = A.S_view vq' }
-              | A.S_table _ -> fe)
-            b.A.from
-        in
-        let where' = Tx.map_sharing (Tx.map_pred_queries go) b.A.where in
-        let having' = Tx.map_sharing (Tx.map_pred_queries go) b.A.having in
-        let b1 =
-          if
-            from' == b.A.from && where' == b.A.where && having' == b.A.having
-          then b
-          else { b with A.from = from'; where = where'; having = having' }
-        in
-        let mine =
-          List.filter_map
-            (fun (qb, key, sel) ->
-              if String.equal qb b1.A.qb_name && sel then Some key else None)
-            plan
-        in
-        let expansion =
-          match
-            List.find_opt
-              (fun p ->
-                List.mem (Pp.pred_to_string p) mine && expandable b1 p <> None)
-              b1.A.where
-          with
-          | Some p -> (
-              match expandable b1 p with
-              | Some ds -> Some (expand b1 p ds)
-              | None -> None)
-          | None -> None
-        in
-        match expansion with
-        | Some q' ->
-            (match touched with
-            | None -> ()
-            | Some r -> r := Walk.Sset.union !r (Tx.all_block_names q'));
-            q'
-        | None ->
-            if b1 == b then q
-            else (
-              Tx.mark_touched touched b;
-              A.Block b1))
-  in
-  go q
-
-let apply_all cat q =
-  apply_mask cat q (List.map (fun _ -> true) (objects cat q))
+let discover = tx.Tx.discover
+let objects = Tx.objects tx
+let apply_mask = tx.Tx.apply_mask
+let apply_all = Tx.apply_all tx

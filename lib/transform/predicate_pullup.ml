@@ -124,73 +124,40 @@ let pull_one gen (parent : A.block) (alias : string) (p : A.pred) : A.block =
 (* CBQT interface                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let name = "predicate-pullup"
+(* objects are keyed ["alias|predicate"] *)
+let tx =
+  Tx.in_blocks ~name:"predicate-pullup"
+    ~find:(fun _cat b ->
+      List.concat_map
+        (fun fe ->
+          match classify b fe with
+          | Some (_, expensive) ->
+              List.map
+                (fun p ->
+                  let key = fe.A.fe_alias ^ "|" ^ Pp.pred_to_string p in
+                  (key, Printf.sprintf "pullup(%s)" key))
+                expensive
+          | None -> [])
+        b.A.from)
+    ~apply:(fun _cat q ->
+      let gen = Walk.fresh_alias_gen [ q ] in
+      fun site b ->
+        let key = site.Tx.key in
+        let i = String.index key '|' in
+        let alias = String.sub key 0 i in
+        let fp = String.sub key (i + 1) (String.length key - i - 1) in
+        match Option.map (fun fe -> fe.A.fe_source) (Tx.entry b alias) with
+        | Some (A.S_view (A.Block vb)) -> (
+            match
+              List.find_opt
+                (fun p -> String.equal (Pp.pred_to_string p) fp)
+                vb.A.where
+            with
+            | Some p -> A.Block (pull_one gen b alias p)
+            | None -> A.Block b)
+        | _ -> A.Block b)
 
-let discover (_cat : Catalog.t) (q : A.query) : (string * string) list =
-  let objs = ref [] in
-  ignore
-    (Tx.map_blocks_bottom_up
-       (fun b ->
-         List.iter
-           (fun fe ->
-             match classify b fe with
-             | Some (_, expensive) ->
-                 List.iter
-                   (fun p ->
-                     objs :=
-                       (b.A.qb_name, fe.A.fe_alias ^ "|" ^ Pp.pred_to_string p)
-                       :: !objs)
-                   expensive
-             | None -> ())
-           b.A.from;
-         b)
-       q);
-  List.rev !objs
-
-let objects (cat : Catalog.t) (q : A.query) : string list =
-  List.map (fun (qb, k) -> Printf.sprintf "%s:pullup(%s)" qb k) (discover cat q)
-
-let apply_mask ?touched (cat : Catalog.t) (q : A.query) (mask : bool list) :
-    A.query =
-  let gen = Walk.fresh_alias_gen [ q ] in
-  let plan =
-    List.mapi
-      (fun i (qb, key) ->
-        ( qb,
-          key,
-          match List.nth_opt mask i with Some b -> b | None -> false ))
-      (discover cat q)
-  in
-  Tx.map_blocks_bottom_up ?touched
-    (fun b ->
-      List.fold_left
-        (fun b (qb, key, selected) ->
-          if (not (String.equal qb b.A.qb_name)) || not selected then b
-          else
-            match String.index_opt key '|' with
-            | None -> b
-            | Some i -> (
-                let alias = String.sub key 0 i in
-                let fp = String.sub key (i + 1) (String.length key - i - 1) in
-                match
-                  List.find_opt
-                    (fun fe -> String.equal fe.A.fe_alias alias)
-                    b.A.from
-                with
-                | None -> b
-                | Some fe -> (
-                    match fe.A.fe_source with
-                    | A.S_view (A.Block vb) -> (
-                        match
-                          List.find_opt
-                            (fun p -> String.equal (Pp.pred_to_string p) fp)
-                            vb.A.where
-                        with
-                        | Some p -> pull_one (fun b -> gen b) b alias p
-                        | None -> b)
-                    | _ -> b)))
-        b plan)
-    q
-
-let apply_all cat q =
-  apply_mask cat q (List.map (fun _ -> true) (objects cat q))
+let discover = tx.Tx.discover
+let objects = Tx.objects tx
+let apply_mask = tx.Tx.apply_mask
+let apply_all = Tx.apply_all tx

@@ -69,8 +69,6 @@ let convert gen (op : A.setop) (l : A.block) (r : A.block) : A.query =
 (* CBQT interface                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let name = "setop-to-join"
-
 (** Objects: convertible MINUS/INTERSECT nodes, found anywhere in the
     set-operation tree (and in views). Keys are positional paths. *)
 let rec find_nodes (path : string) (q : A.query) : (string * A.query) list =
@@ -87,60 +85,38 @@ let rec find_nodes (path : string) (q : A.query) : (string * A.query) list =
       @ find_nodes (path ^ "L") l
       @ find_nodes (path ^ "R") r
 
-let discover (_cat : Catalog.t) (q : A.query) : (string * string) list =
-  List.map (fun (p, _) -> ("<setop>", p)) (find_nodes "@" q)
+let tx =
+  {
+    Tx.name = "setop-to-join";
+    discover =
+      (fun _cat q ->
+        List.map
+          (fun (path, _) ->
+            {
+              Tx.block = "<setop>";
+              key = path;
+              label = Printf.sprintf "setop-join(%s)" path;
+            })
+          (find_nodes "@" q));
+    apply_mask =
+      (fun ?touched _cat q mask ->
+        (* the selected nodes are converted as they stand in [q], so a
+           selected node inside another is dropped with it *)
+        let nodes = List.map snd (find_nodes "@" q) in
+        match List.map snd (Tx.selected mask nodes) with
+        | [] -> q
+        | chosen ->
+            let gen = Walk.fresh_alias_gen [ q ] in
+            Tx.map_query_bottom_up ?touched
+              ~replace:(fun n ->
+                match convertible n with
+                | Some (op, l, r) when List.memq n chosen ->
+                    Some (convert gen op l r)
+                | _ -> None)
+              (fun b -> A.Block b) q);
+  }
 
-let objects (cat : Catalog.t) (q : A.query) : string list =
-  List.map (fun (_, p) -> Printf.sprintf "setop-join(%s)" p) (discover cat q)
-
-let apply_mask ?touched (_cat : Catalog.t) (q : A.query) (mask : bool list) :
-    A.query =
-  let gen = Walk.fresh_alias_gen [ q ] in
-  let plan =
-    List.mapi
-      (fun i (_, path) ->
-        ( path,
-          match List.nth_opt mask i with Some b -> b | None -> false ))
-      (List.map (fun (p, _) -> ("", p)) (find_nodes "@" q))
-  in
-  let selected path =
-    match List.assoc_opt path plan with Some b -> b | None -> false
-  in
-  (* sharing-preserving: subtrees with no selected conversion are
-     returned as the original nodes, so their cost annotations survive *)
-  let rec go path q =
-    match q with
-    | A.Block b ->
-        let from' =
-          Tx.map_sharing
-            (fun fe ->
-              match fe.A.fe_source with
-              | A.S_view vq ->
-                  let vq' = go (path ^ "." ^ fe.A.fe_alias) vq in
-                  if vq' == vq then fe
-                  else { fe with A.fe_source = A.S_view vq' }
-              | A.S_table _ -> fe)
-            b.A.from
-        in
-        if from' == b.A.from then q
-        else (
-          Tx.mark_touched touched b;
-          A.Block { b with A.from = from' })
-    | A.Setop (op, l, r) -> (
-        match convertible q with
-        | Some (cop, cl, cr) when selected path ->
-            let q' = convert gen cop cl cr in
-            (match touched with
-            | None -> ()
-            | Some r ->
-                r := Walk.Sset.union !r (Tx.all_block_names q'));
-            q'
-        | _ ->
-            let l' = go (path ^ "L") l in
-            let r' = go (path ^ "R") r in
-            if l' == l && r' == r then q else A.Setop (op, l', r'))
-  in
-  go "@" q
-
-let apply_all cat q =
-  apply_mask cat q (List.map (fun _ -> true) (objects cat q))
+let discover = tx.Tx.discover
+let objects = Tx.objects tx
+let apply_mask = tx.Tx.apply_mask
+let apply_all = Tx.apply_all tx

@@ -65,72 +65,103 @@ and iter_pred_blocks (f : A.block -> unit) (p : A.pred) : unit =
       iter_pred_blocks f b
   | _ -> ()
 
-(** Apply [f] to every block of [q], bottom-up: nested views and
-    subqueries are rewritten before the enclosing block.
+(** Record every block of [q] in the optional touched-block accumulator. *)
+let mark_all (touched : Walk.Sset.t ref option) (q : A.query) : unit =
+  match touched with
+  | None -> ()
+  | Some r -> iter_blocks (fun b -> r := Walk.Sset.add b.A.qb_name !r) q
 
-    The traversal is {e sharing-preserving}: any node whose subtree [f]
-    leaves unchanged (physically, by [==]) is returned as the original
+(** The blocks of [out] that are {e not} physically shared with [base]:
+    an identity diff of the two trees, for checking that a
+    transformation's [?touched] report covers everything it rebuilt.
+    Returns the [qb_name]s of the fresh blocks in [out]. *)
+let dirty_blocks (base : A.query) (out : A.query) : Walk.Sset.t =
+  let module H = Hashtbl.Make (struct
+    type t = A.block
+
+    let equal = ( == )
+    let hash = Hashtbl.hash
+  end) in
+  let seen = H.create 64 in
+  iter_blocks (fun b -> H.replace seen b ()) base;
+  let dirty = ref Walk.Sset.empty in
+  iter_blocks
+    (fun b ->
+      if not (H.mem seen b) then dirty := Walk.Sset.add b.A.qb_name !dirty)
+    out;
+  !dirty
+
+(** Rewrite every block of [q], bottom-up: nested views and subqueries
+    are rewritten before the enclosing block. [f] returns the block
+    (rewritten or not) or a query that replaces it; [replace] is tried on
+    every query node before its subtrees are visited, and a [Some]
+    result stands for the node unvisited.
+
+    The traversal is {e sharing-preserving}: any node whose subtree is
+    left unchanged (physically, by [==]) is returned as the original
     node, so untouched blocks stay physically identical across rewrite
     alternatives and the planner can reuse their cost annotations by
-    identity. When [?touched] is given, the [qb_name] of every block
-    that {e was} rebuilt is accumulated into it. *)
-let rec map_blocks_bottom_up ?touched (f : A.block -> A.block) (q : A.query) :
-    A.query =
-  match q with
-  | A.Setop (op, l, r) ->
-      let l' = map_blocks_bottom_up ?touched f l in
-      let r' = map_blocks_bottom_up ?touched f r in
-      if l' == l && r' == r then q else A.Setop (op, l', r')
-  | A.Block b ->
-      let rewrite_pred p =
-        map_pred_queries (map_blocks_bottom_up ?touched f) p
-      in
-      let from' =
-        map_sharing
-          (fun fe ->
-            let src' =
-              match fe.A.fe_source with
-              | A.S_table _ -> fe.A.fe_source
-              | A.S_view v ->
-                  let v' = map_blocks_bottom_up ?touched f v in
-                  if v' == v then fe.A.fe_source else A.S_view v'
-            in
-            let cond' = map_sharing rewrite_pred fe.A.fe_cond in
-            if src' == fe.A.fe_source && cond' == fe.A.fe_cond then fe
-            else { fe with A.fe_source = src'; fe_cond = cond' })
-          b.A.from
-      in
-      let where' = map_sharing rewrite_pred b.A.where in
-      let having' = map_sharing rewrite_pred b.A.having in
-      let b1 =
-        if from' == b.A.from && where' == b.A.where && having' == b.A.having
-        then b
-        else { b with A.from = from'; where = where'; having = having' }
-      in
-      let b2 = f b1 in
-      if b2 == b then q
-      else (
-        mark_touched touched b;
-        (* [f] may have renamed the block or synthesized new nested
-           blocks (e.g. a generated group-by view): record every block
-           of its result that is not physically present in its input. *)
-        (match touched with
-        | Some r when b2 != b1 ->
-            let module H = Hashtbl.Make (struct
-              type t = A.block
-
-              let equal = ( == )
-              let hash = Hashtbl.hash
-            end) in
-            let seen = H.create 16 in
-            iter_blocks (fun ob -> H.replace seen ob ()) (A.Block b1);
-            iter_blocks
-              (fun nb ->
-                if not (H.mem seen nb) then
-                  r := Walk.Sset.add nb.A.qb_name !r)
-              (A.Block b2)
-        | _ -> ());
-        A.Block b2)
+    identity. When [?touched] is given, the [qb_name]s of the rebuilt
+    blocks are accumulated into it: a block rewritten under its own name
+    is recorded with every nested block its result does not share with
+    its input; a replacement (a set operation, a block under another
+    name, or a [replace] result) is recorded with all of its blocks. *)
+let rec map_query_bottom_up ?touched ?(replace = fun _ -> None)
+    (f : A.block -> A.query) (q : A.query) : A.query =
+  match replace q with
+  | Some q' ->
+      mark_all touched q';
+      q'
+  | None -> (
+      match q with
+      | A.Setop (op, l, r) ->
+          let l' = map_query_bottom_up ?touched ~replace f l in
+          let r' = map_query_bottom_up ?touched ~replace f r in
+          if l' == l && r' == r then q else A.Setop (op, l', r')
+      | A.Block b -> (
+          let rewrite_pred p =
+            map_pred_queries (map_query_bottom_up ?touched ~replace f) p
+          in
+          let from' =
+            map_sharing
+              (fun fe ->
+                let src' =
+                  match fe.A.fe_source with
+                  | A.S_table _ -> fe.A.fe_source
+                  | A.S_view v ->
+                      let v' = map_query_bottom_up ?touched ~replace f v in
+                      if v' == v then fe.A.fe_source else A.S_view v'
+                in
+                let cond' = map_sharing rewrite_pred fe.A.fe_cond in
+                if src' == fe.A.fe_source && cond' == fe.A.fe_cond then fe
+                else { fe with A.fe_source = src'; fe_cond = cond' })
+              b.A.from
+          in
+          let where' = map_sharing rewrite_pred b.A.where in
+          let having' = map_sharing rewrite_pred b.A.having in
+          let b1 =
+            if
+              from' == b.A.from && where' == b.A.where
+              && having' == b.A.having
+            then b
+            else { b with A.from = from'; where = where'; having = having' }
+          in
+          match f b1 with
+          | A.Block b2 when b2 == b -> q
+          | A.Block b2 when b2 == b1 ->
+              mark_touched touched b;
+              A.Block b1
+          | A.Block b2 as q' when String.equal b2.A.qb_name b.A.qb_name ->
+              mark_touched touched b;
+              (* [f] may have synthesized new nested blocks (e.g. a
+                 generated group-by view) *)
+              (match touched with
+              | Some r -> r := Walk.Sset.union !r (dirty_blocks (A.Block b1) q')
+              | None -> ());
+              q'
+          | q' ->
+              mark_all touched q';
+              q'))
 
 (** Rewrite the subqueries embedded in a predicate
     (sharing-preserving, like {!map_blocks_bottom_up}). *)
@@ -167,6 +198,11 @@ and map_pred_queries (f : A.query -> A.query) (p : A.pred) : A.pred =
       if a' == a && b' == b then p else A.Or (a', b')
   | p -> p
 
+(** {!map_query_bottom_up} for a per-block rewrite that returns a block. *)
+let map_blocks_bottom_up ?touched (f : A.block -> A.block) (q : A.query) :
+    A.query =
+  map_query_bottom_up ?touched (fun b -> A.Block (f b)) q
+
 (** Count the blocks that satisfy [pred]. *)
 let count_blocks (f : A.block -> bool) (q : A.query) : int =
   let n = ref 0 in
@@ -194,14 +230,6 @@ let split_correlation (b : A.block) : A.pred list * A.pred list =
     (fun p ->
       not (Walk.Sset.subset (Walk.pred_aliases ~deep:true p) local))
     b.A.where
-
-(** The column names of an entry's source, given a catalog (for tables)
-    or the view's select names. *)
-let source_columns (cat : Catalog.t) (fe : A.from_entry) : string list =
-  match fe.A.fe_source with
-  | A.S_table t ->
-      List.map (fun c -> c.Catalog.c_name) (Catalog.find_table cat t).t_cols
-  | A.S_view v -> A.query_select_names v
 
 (** Columns of alias [a] referenced anywhere in the block outside its
     own FROM entry definition (select, where, group by, having, order
@@ -246,31 +274,6 @@ let substitute_view_cols ~(alias : string) ~(subst : (string * A.expr) list)
   in
   Walk.map_block_cols f b
 
-(** The [qb_name]s of every block in [q]. *)
-let all_block_names (q : A.query) : Walk.Sset.t =
-  let names = ref Walk.Sset.empty in
-  iter_blocks (fun b -> names := Walk.Sset.add b.A.qb_name !names) q;
-  !names
-
-(** The blocks of [out] that are {e not} physically shared with [base]:
-    an identity diff of the two trees, for checking that a
-    transformation's [?touched] report covers everything it rebuilt.
-    Returns the [qb_name]s of the fresh blocks in [out]. *)
-let dirty_blocks (base : A.query) (out : A.query) : Walk.Sset.t =
-  let module H = Hashtbl.Make (struct
-    type t = A.block
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end) in
-  let seen = H.create 64 in
-  iter_blocks (fun b -> H.replace seen b ()) base;
-  let dirty = ref Walk.Sset.empty in
-  iter_blocks
-    (fun b -> if not (H.mem seen b) then dirty := Walk.Sset.add b.A.qb_name !dirty)
-    out;
-  !dirty
-
 (* The deprecated [deep_copy] identity is gone: the IR is immutable, so
    the paper's "capability for deep copying query blocks" (Section 3.1)
    comes for free. Per-state copying would also defeat the
@@ -287,6 +290,110 @@ let entry_key (cat : Catalog.t) (fe : A.from_entry) : string list option =
       if def.t_pkey <> [] then Some def.t_pkey
       else (
         match def.t_uniques with key :: _ -> Some key | [] -> None)
+
+(* ------------------------------------------------------------------ *)
+(* Cost-based transformations (paper Section 3.1)                       *)
+(* ------------------------------------------------------------------ *)
+
+(** A transformation object: the [qb_name] of the block it lives in, a
+    key that finds it again inside that block, and the label naming it
+    in traces and search reports. *)
+type obj = { block : string; key : string; label : string }
+
+(** A cost-based transformation: its objects, in state-bit order, and
+    the application of a state — a mask with one bit per object (bits
+    past the end are unset). The application returns the input tree
+    physically unchanged for the all-unset state and reports the blocks
+    it rebuilt in [?touched] (the dirty-set protocol, DESIGN.md). *)
+type t = {
+  name : string;
+  discover : Catalog.t -> A.query -> obj list;
+  apply_mask :
+    ?touched:Walk.Sset.t ref -> Catalog.t -> A.query -> bool list -> A.query;
+}
+
+let objects (t : t) (cat : Catalog.t) (q : A.query) : string list =
+  List.map (fun o -> o.label) (t.discover cat q)
+
+let apply_all (t : t) (cat : Catalog.t) (q : A.query) : A.query =
+  t.apply_mask cat q (List.map (fun _ -> true) (t.discover cat q))
+
+(** The elements of [xs] whose bit is set in [mask], with their index. *)
+let selected (mask : bool list) (xs : 'a list) : (int * 'a) list =
+  let rec go i mask xs =
+    match (mask, xs) with
+    | true :: mask, x :: xs -> (i, x) :: go (i + 1) mask xs
+    | false :: mask, _ :: xs -> go (i + 1) mask xs
+    | [], _ | _, [] -> []
+  in
+  go 0 mask xs
+
+(** A selected object as the replay hands it to its transformation. *)
+type site = {
+  index : int;  (** the object's state bit *)
+  nth : int;  (** earlier objects of the same block with the same key *)
+  key : string;
+  visit : A.block;
+      (** the block as the traversal reached it, before any of its
+          objects was applied *)
+}
+
+(** A cost-based transformation whose objects live in query blocks.
+
+    [find cat b] lists the objects of block [b] alone as [(key, tag)]
+    pairs, labelled ["qb:tag"]; discovery visits the blocks in the order
+    {!map_query_bottom_up} rewrites them. [apply cat q] is evaluated once
+    per mask application (it may hold fresh-name state over [q]); the
+    function it returns applies one selected object to its block as
+    rewritten by the block's earlier objects. It re-checks the object
+    there and returns the block unchanged when an earlier application
+    invalidated it, or a query to replace the block; a block replaced by
+    a set operation takes no further objects. *)
+let in_blocks ~(name : string)
+    ~(find : Catalog.t -> A.block -> (string * string) list)
+    ~(apply : Catalog.t -> A.query -> site -> A.block -> A.query) : t =
+  let discover cat q =
+    let objs = ref [] in
+    iter_blocks
+      (fun b ->
+        List.iter
+          (fun (key, tag) ->
+            objs :=
+              { block = b.A.qb_name; key; label = b.A.qb_name ^ ":" ^ tag }
+              :: !objs)
+          (find cat b))
+      q;
+    List.rev !objs
+  in
+  let apply_mask ?touched cat q mask =
+    let seen = Hashtbl.create 8 in
+    let with_nth o =
+      let nth =
+        Option.value ~default:0 (Hashtbl.find_opt seen (o.block, o.key))
+      in
+      Hashtbl.replace seen (o.block, o.key) (nth + 1);
+      (nth, o)
+    in
+    match selected mask (List.map with_nth (discover cat q)) with
+    | [] -> q
+    | plan ->
+        let apply1 = apply cat q in
+        map_query_bottom_up ?touched
+          (fun b ->
+            List.fold_left
+              (fun acc (index, (nth, o)) ->
+                match acc with
+                | A.Block cur when String.equal o.block b.A.qb_name ->
+                    apply1 { index; nth; key = o.key; visit = b } cur
+                | _ -> acc)
+              (A.Block b) plan)
+          q
+  in
+  { name; discover; apply_mask }
+
+(** The entry of [b] with alias [alias]. *)
+let entry (b : A.block) (alias : string) : A.from_entry option =
+  List.find_opt (fun fe -> String.equal fe.A.fe_alias alias) b.A.from
 
 (* ------------------------------------------------------------------ *)
 (* Property-delta reporting                                             *)
@@ -404,20 +511,3 @@ let query_deltas ~(base : A.query) ~(out : A.query) : block_delta list =
       | _ -> ())
     bt;
   List.sort (fun a b -> compare a.bd_name b.bd_name) !deltas
-
-(** One-line human summary of a delta, for traces and verbose output. *)
-let delta_summary (d : block_delta) : string =
-  let part label = function
-    | [] -> []
-    | xs -> [ Printf.sprintf "%s:%d" label (List.length xs) ]
-  in
-  let flags =
-    part "entries-" d.bd_removed_entries
-    @ part "entries+" d.bd_added_entries
-    @ part "kind~" d.bd_kind_changes
-    @ part "where-" d.bd_removed_where
-    @ part "where+" d.bd_added_where
-    @ (if d.bd_group_changed then [ "group~" ] else [])
-    @ if d.bd_select_names_changed then [ "select~" ] else []
-  in
-  Printf.sprintf "%s{%s}" d.bd_name (String.concat " " flags)

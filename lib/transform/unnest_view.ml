@@ -137,8 +137,6 @@ let classify (parent : A.block) (p : A.pred) : string option =
 (* Application                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_view_alias (q : A.query) = Walk.fresh_alias_gen [ q ]
-
 (** Unnest one aggregate subquery predicate inside [b]. *)
 let apply_agg gen (b : A.block) (op : A.cmp) (lhs : A.expr) (q : A.query)
     (p_orig : A.pred) : A.block =
@@ -241,101 +239,54 @@ let apply_spj_view gen (b : A.block) ~(kind : A.jkind)
 (* CBQT interface                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let name = "unnest"
+(** Objects are keyed by predicate fingerprint; the n-th object with a
+    given key in a block is the n-th matching predicate. Unnestable
+    subqueries contain no nested blocks, so their fingerprints are
+    stable under this transformation's other applications. *)
+let tx =
+  Tx.in_blocks ~name:"unnest"
+    ~find:(fun _cat b ->
+      List.filter_map
+        (fun p ->
+          Option.map (fun kind -> (Pp.pred_to_string p, kind)) (classify b p))
+        b.A.where)
+    ~apply:(fun _cat q ->
+      let fresh = Walk.fresh_alias_gen [ q ] in
+      fun site b ->
+        let matching =
+          List.filter
+            (fun p -> String.equal (Pp.pred_to_string p) site.Tx.key)
+            site.Tx.visit.A.where
+        in
+        (* view aliases are a deterministic function of the object
+           index, so a sub-tree's fingerprint — and hence its cost
+           annotation — is shared across states that agree on it *)
+        let gen _base = fresh (Printf.sprintf "uv%d" site.Tx.index) in
+        match List.nth_opt matching site.Tx.nth with
+        | None -> A.Block b
+        | Some p -> (
+            match (classify b p, p) with
+            | None, _ -> A.Block b
+            | Some _, A.Cmp_subq (op, lhs, None, sq) ->
+                A.Block (apply_agg gen b op lhs sq p)
+            | Some _, A.Exists sq ->
+                A.Block (apply_spj_view gen b ~kind:A.J_semi ~in_items:[] sq p)
+            | Some _, A.Not_exists sq ->
+                A.Block (apply_spj_view gen b ~kind:A.J_anti ~in_items:[] sq p)
+            | Some _, A.In_subq (es, sq) ->
+                A.Block (apply_spj_view gen b ~kind:A.J_semi ~in_items:es sq p)
+            | Some _, A.Not_in_subq (es, sq) ->
+                A.Block
+                  (apply_spj_view gen b ~kind:A.J_anti_na ~in_items:es sq p)
+            | Some _, _ -> A.Block b))
 
-(** Transformation objects in deterministic traversal order. *)
-let objects (_cat : Catalog.t) (q : A.query) : string list =
-  let objs = ref [] in
-  ignore
-    (Tx.map_blocks_bottom_up
-       (fun b ->
-         List.iter
-           (fun p ->
-             match classify b p with
-             | Some kind ->
-                 objs := Printf.sprintf "%s:%s" b.A.qb_name kind :: !objs
-             | None -> ())
-           b.A.where;
-         b)
-       q);
-  List.rev !objs
-
-(** Discovery keyed by (block name, predicate fingerprint). Unnestable
-    subqueries contain no nested blocks (base tables only, no inner
-    subqueries), so their fingerprints are stable under this
-    transformation's other applications and the plan can be replayed
-    during mask application. *)
-let discover (_cat : Catalog.t) (q : A.query) : (string * string) list =
-  let objs = ref [] in
-  ignore
-    (Tx.map_blocks_bottom_up
-       (fun b ->
-         List.iter
-           (fun p ->
-             if classify b p <> None then
-               objs := (b.A.qb_name, Pp.pred_to_string p) :: !objs)
-           b.A.where;
-         b)
-       q);
-  List.rev !objs
-
-(** Apply the transformation to the objects selected by [mask] (in the
-    same order [objects] reported them). *)
-let apply_mask ?touched (cat : Catalog.t) (q : A.query) (mask : bool list) :
-    A.query =
-  let fresh = fresh_view_alias q in
-  let plan =
-    ref
-      (List.mapi
-         (fun i (qb, key) ->
-           ( i,
-             qb,
-             key,
-             match List.nth_opt mask i with Some b -> b | None -> false ))
-         (discover cat q))
-  in
-  Tx.map_blocks_bottom_up ?touched
-    (fun b ->
-      List.fold_left
-        (fun b p ->
-          let fp = Pp.pred_to_string p in
-          (* pop the first plan item matching this block + predicate *)
-          let rec pop acc = function
-            | [] -> (None, List.rev acc)
-            | (i, qb, key, sel) :: rest
-              when String.equal qb b.A.qb_name && String.equal key fp ->
-                (Some (i, sel), List.rev_append acc rest)
-            | item :: rest -> pop (item :: acc) rest
-          in
-          let sel, rest = pop [] !plan in
-          plan := rest;
-          match sel with
-          | None | Some (_, false) -> b
-          | Some (obj_idx, true) -> (
-              (* view aliases are a deterministic function of the object
-                 index, so a sub-tree's fingerprint — and hence its cost
-                 annotation — is shared across states that agree on it *)
-              let gen _base = fresh (Printf.sprintf "uv%d" obj_idx) in
-              match (classify b p, p) with
-              | None, _ -> b
-              | Some _, A.Cmp_subq (op, lhs, None, sq) ->
-                  apply_agg gen b op lhs sq p
-              | Some _, A.Exists sq ->
-                  apply_spj_view gen b ~kind:A.J_semi ~in_items:[] sq p
-              | Some _, A.Not_exists sq ->
-                  apply_spj_view gen b ~kind:A.J_anti ~in_items:[] sq p
-              | Some _, A.In_subq (es, sq) ->
-                  apply_spj_view gen b ~kind:A.J_semi ~in_items:es sq p
-              | Some _, A.Not_in_subq (es, sq) ->
-                  apply_spj_view gen b ~kind:A.J_anti_na ~in_items:es sq p
-              | Some _, _ -> b))
-        b b.A.where)
-    q
+let discover = tx.Tx.discover
+let objects = Tx.objects tx
+let apply_mask = tx.Tx.apply_mask
 
 (** Apply to every object (convenience for tests and the heuristic
     baseline that always unnests). *)
-let apply_all cat q =
-  apply_mask cat q (List.map (fun _ -> true) (objects cat q))
+let apply_all = Tx.apply_all tx
 
 (* ------------------------------------------------------------------ *)
 (* The pre-10g heuristic rule                                           *)
@@ -348,63 +299,61 @@ let apply_all cat q =
     Returns one decision per discovered object, in discovery order. *)
 let heuristic_mask (cat : Catalog.t) (q : A.query) : bool list =
   let decisions = ref [] in
-  ignore
-    (Tx.map_blocks_bottom_up
-       (fun b ->
-         let outer_has_filter =
-           let local = Walk.defined_aliases b in
-           List.exists
-             (fun p ->
-               (not (Walk.pred_has_subquery p))
-               && Walk.Sset.cardinal
-                    (Walk.Sset.inter (Walk.pred_aliases ~deep:false p) local)
-                  = 1)
-             b.A.where
-         in
-         let table_of_alias (sb : A.block) alias =
-           List.find_map
-             (fun fe ->
-               if String.equal fe.A.fe_alias alias then
-                 match fe.A.fe_source with
-                 | A.S_table t -> Some t
-                 | _ -> None
-               else None)
-             sb.A.from
-         in
-         let corr_indexed (sq : A.query) =
-           match Tx.single_block sq with
-           | None -> false
-           | Some sb ->
-               let corr, _ = Tx.split_correlation sb in
-               List.exists
-                 (fun p ->
-                   match separable_corr sb p with
-                   | Some (A.Col c, _, _) -> (
-                       match table_of_alias sb c.A.c_alias with
-                       | Some t ->
-                           Catalog.index_with_prefix cat ~table:t
-                             ~cols:[ c.A.c_col ]
-                           <> None
-                       | None -> false)
-                   | _ -> false)
-                 corr
-         in
-         List.iter
-           (fun p ->
-             match classify b p with
-             | Some _ ->
-                 let sq =
-                   match p with
-                   | A.Cmp_subq (_, _, _, s)
-                   | A.Exists s | A.Not_exists s
-                   | A.In_subq (_, s) | A.Not_in_subq (_, s) ->
-                       s
-                   | _ -> assert false
-                 in
-                 let keep_nested = outer_has_filter && corr_indexed sq in
-                 decisions := (not keep_nested) :: !decisions
-             | None -> ())
-           b.A.where;
-         b)
-       q);
+  Tx.iter_blocks
+    (fun b ->
+      let outer_has_filter =
+        let local = Walk.defined_aliases b in
+        List.exists
+          (fun p ->
+            (not (Walk.pred_has_subquery p))
+            && Walk.Sset.cardinal
+                 (Walk.Sset.inter (Walk.pred_aliases ~deep:false p) local)
+               = 1)
+          b.A.where
+      in
+      let table_of_alias (sb : A.block) alias =
+        List.find_map
+          (fun fe ->
+            if String.equal fe.A.fe_alias alias then
+              match fe.A.fe_source with
+              | A.S_table t -> Some t
+              | _ -> None
+            else None)
+          sb.A.from
+      in
+      let corr_indexed (sq : A.query) =
+        match Tx.single_block sq with
+        | None -> false
+        | Some sb ->
+            let corr, _ = Tx.split_correlation sb in
+            List.exists
+              (fun p ->
+                match separable_corr sb p with
+                | Some (A.Col c, _, _) -> (
+                    match table_of_alias sb c.A.c_alias with
+                    | Some t ->
+                        Catalog.index_with_prefix cat ~table:t
+                          ~cols:[ c.A.c_col ]
+                        <> None
+                    | None -> false)
+                | _ -> false)
+              corr
+      in
+      List.iter
+        (fun p ->
+          match classify b p with
+          | Some _ ->
+              let sq =
+                match p with
+                | A.Cmp_subq (_, _, _, s)
+                | A.Exists s | A.Not_exists s
+                | A.In_subq (_, s) | A.Not_in_subq (_, s) ->
+                    s
+                | _ -> assert false
+              in
+              let keep_nested = outer_has_filter && corr_indexed sq in
+              decisions := (not keep_nested) :: !decisions
+          | None -> ())
+        b.A.where)
+    q;
   List.rev !decisions

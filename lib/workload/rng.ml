@@ -32,8 +32,6 @@ let bool (t : t) ~(p : float) = float t < p
 
 let pick (t : t) (xs : 'a list) : 'a = List.nth xs (int t (List.length xs))
 
-let pick_arr (t : t) (xs : 'a array) : 'a = xs.(int t (Array.length xs))
-
 (** Pick [k] distinct elements (k <= length). *)
 let sample (t : t) (k : int) (xs : 'a list) : 'a list =
   let arr = Array.of_list xs in

@@ -74,27 +74,22 @@ let prop_plain_optimizer_equivalence =
       let ann = Planner.Optimizer.optimize opt q in
       rows_equal_ref ann.Planner.Annotation.an_plan reference)
 
-(* every individual cost-based transformation preserves semantics under
-   the reference evaluator, for every object mask bit on its own *)
+(* the cost-based transformations, as the driver searches them *)
 let transformations =
-  [
-    ("unnest-view", Transform.Unnest_view.objects,
-     Transform.Unnest_view.apply_mask ?touched:None);
-    ("gb-view-merge", Transform.Gb_view_merge.objects,
-     Transform.Gb_view_merge.apply_mask ?touched:None);
-    ("jppd", Transform.Jppd.objects, Transform.Jppd.apply_mask ?touched:None);
-    ("gb-placement", Transform.Gb_placement.objects,
-     Transform.Gb_placement.apply_mask ?touched:None);
-    ("join-factor", Transform.Join_factor.objects,
-     Transform.Join_factor.apply_mask ?touched:None);
-    ("pred-pullup", Transform.Predicate_pullup.objects,
-     Transform.Predicate_pullup.apply_mask ?touched:None);
-    ("setop-to-join", Transform.Setop_to_join.objects,
-     Transform.Setop_to_join.apply_mask ?touched:None);
-    ("or-expansion", Transform.Or_expansion.objects,
-     Transform.Or_expansion.apply_mask ?touched:None);
-  ]
+  Transform.
+    [
+      Unnest_view.tx; Gb_view_merge.tx; Jppd.tx; Gb_placement.tx;
+      Join_factor.tx; Predicate_pullup.tx; Setop_to_join.tx; Or_expansion.tx;
+    ]
 
+(* the single-object masks of [tx] over [q], as (bit, mask) pairs *)
+let single_bits (tx : Transform.Tx.t) cat q =
+  let n = List.length (tx.discover cat q) in
+  List.init n (fun i -> (i, List.init n (fun j -> j = i)))
+
+(* every individual cost-based transformation preserves semantics under
+   the reference evaluator, for every object mask bit on its own, and
+   every object is a real rewrite: its mask never returns the input *)
 let prop_each_transformation =
   QCheck.Test.make ~count:80
     ~name:"each cost-based transformation preserves semantics per object"
@@ -103,14 +98,15 @@ let prop_each_transformation =
       let cat = db.Storage.Db.cat in
       let reference = Refeval.eval db q in
       List.for_all
-        (fun (_name, objects, apply_mask) ->
-          let objs = objects cat q in
+        (fun (tx : Transform.Tx.t) ->
           List.for_all
-            (fun i ->
-              let mask = List.mapi (fun j _ -> j = i) objs in
-              let q' = apply_mask cat q mask in
-              Refeval.rows_equal reference (Refeval.eval db q'))
-            (List.init (List.length objs) Fun.id))
+            (fun (i, mask) ->
+              let q' = tx.apply_mask cat q mask in
+              (q' != q
+              || QCheck.Test.fail_reportf "%s bit %d left the query unchanged"
+                   tx.name i)
+              && Refeval.rows_equal reference (Refeval.eval db q'))
+            (single_bits tx cat q))
         transformations)
 
 let prop_heuristic_transforms =
@@ -145,14 +141,11 @@ let prop_transformations_immutable =
       let cat = db.Storage.Db.cat in
       let before = Sqlir.Pp.fingerprint q in
       List.iter
-        (fun (_name, objects, apply_mask) ->
-          let objs = objects cat q in
-          let n = List.length objs in
+        (fun (tx : Transform.Tx.t) ->
           List.iter
-            (fun i ->
-              ignore (apply_mask cat q (List.mapi (fun j _ -> j = i) objs)))
-            (List.init n Fun.id);
-          ignore (apply_mask cat q (List.map (fun _ -> true) objs)))
+            (fun (_, mask) -> ignore (tx.apply_mask cat q mask))
+            (single_bits tx cat q);
+          ignore (Transform.Tx.apply_all tx cat q))
         transformations;
       List.iter
         (fun f -> ignore (f cat q))
@@ -168,18 +161,6 @@ let prop_transformations_immutable =
 (* the ?touched accumulator must cover every block of the output that
    is not physically shared with the input — the dirty-set protocol the
    optimizer's identity cache relies on for incremental costing *)
-let touched_transformations =
-  [
-    ("unnest-view", Transform.Unnest_view.objects, Transform.Unnest_view.apply_mask);
-    ("gb-view-merge", Transform.Gb_view_merge.objects, Transform.Gb_view_merge.apply_mask);
-    ("jppd", Transform.Jppd.objects, Transform.Jppd.apply_mask);
-    ("gb-placement", Transform.Gb_placement.objects, Transform.Gb_placement.apply_mask);
-    ("join-factor", Transform.Join_factor.objects, Transform.Join_factor.apply_mask);
-    ("pred-pullup", Transform.Predicate_pullup.objects, Transform.Predicate_pullup.apply_mask);
-    ("setop-to-join", Transform.Setop_to_join.objects, Transform.Setop_to_join.apply_mask);
-    ("or-expansion", Transform.Or_expansion.objects, Transform.Or_expansion.apply_mask);
-  ]
-
 let prop_touched_covers_dirty =
   QCheck.Test.make ~count:80
     ~name:"?touched covers every identity-fresh block of the output"
@@ -188,23 +169,20 @@ let prop_touched_covers_dirty =
       let cat = db.Storage.Db.cat in
       let module Sset = Sqlir.Walk.Sset in
       List.for_all
-        (fun (name, objects, apply_mask) ->
-          let objs = objects cat q in
-          let n = List.length objs in
+        (fun (tx : Transform.Tx.t) ->
           List.for_all
-            (fun i ->
-              let mask = List.mapi (fun j _ -> j = i) objs in
+            (fun (i, mask) ->
               let touched = ref Sset.empty in
-              let q' = apply_mask ?touched:(Some touched) cat q mask in
+              let q' = tx.apply_mask ~touched cat q mask in
               let dirty = Transform.Tx.dirty_blocks q q' in
               Sset.subset dirty !touched
               ||
               (QCheck.Test.fail_reportf
-                 "%s bit %d: dirty %s not covered by touched %s" name i
+                 "%s bit %d: dirty %s not covered by touched %s" tx.name i
                  (String.concat "," (Sset.elements dirty))
                  (String.concat "," (Sset.elements !touched))))
-            (List.init n Fun.id))
-        touched_transformations)
+            (single_bits tx cat q))
+        transformations)
 
 (* gensym counters ($agg7, $win3) depend on how many blocks the
    optimizer walked, which annotation reuse legitimately changes; strip

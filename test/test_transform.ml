@@ -527,6 +527,26 @@ let test_or_expansion_preserves_duplicates () =
   check_equiv ~msg:"OR expansion duplicates" q
     (Transform.Or_expansion.apply_all (cat ()) q)
 
+let test_or_expansion_in_outer_join_condition () =
+  (* the disjunction sits in a subquery of a LEFT JOIN ON condition:
+     mask application must reach every block discovery reaches *)
+  let q =
+    parse
+      "SELECT d.dept_name FROM departments d LEFT JOIN locations l ON \
+       l.loc_id = d.loc_id AND EXISTS (SELECT e.emp_id FROM employees e \
+       WHERE e.dept_id = d.dept_id AND (e.salary > 7500 OR e.mgr_id = 1001))"
+  in
+  let objs = Transform.Or_expansion.objects (cat ()) q in
+  Alcotest.(check (list string)) "one object" [ "qb1:or-expand" ] objs;
+  let q' = Transform.Or_expansion.apply_mask (cat ()) q [ true ] in
+  if q' == q then Alcotest.fail "bit 0 left the query unchanged";
+  (* only the reference half of [check_equiv]: the planner does not
+     lower subquery predicates in an outer join's ON condition, so
+     neither tree can be optimized and executed *)
+  let db = Lazy.force db in
+  if not (Refeval.rows_equal (Refeval.eval db q) (Refeval.eval db q')) then
+    Alcotest.failf "OR expansion under ON:@.%s" (Pp.query_to_string q')
+
 (* ------------------------------------------------------------------ *)
 (* Heuristic: join elimination                                          *)
 (* ------------------------------------------------------------------ *)
@@ -771,6 +791,8 @@ let () =
           Alcotest.test_case "basic" `Quick test_or_expansion;
           Alcotest.test_case "unknown disjunct" `Quick test_or_expansion_unknown_disjunct;
           Alcotest.test_case "duplicates" `Quick test_or_expansion_preserves_duplicates;
+          Alcotest.test_case "ON-condition subquery" `Quick
+            test_or_expansion_in_outer_join_condition;
         ] );
       ( "join-elimination",
         [
