@@ -7,7 +7,9 @@
     [ceil (capacity / shards)] and counters. Every operation takes
     exactly one shard lock, so callers on different shards never
     contend, and the counters stay exact: they move only under their
-    shard's lock, and {!stats} sums them.
+    shard's lock, and {!stats} sums them. They are the structure's only
+    record of its traffic: a caller that publishes metrics reads them
+    from {!stats}.
 
     A bucket entry matches a probe only when its key equals the probe
     key — physical equality first, then structural [=] — so a hash
@@ -120,15 +122,14 @@ let evict_lru s =
       unlink s h (( == ) n);
       s.st.evictions <- s.st.evictions + 1
 
-let add_locked on_evict t s h k create =
+let add_locked t s h k create =
   match List.find_opt (matches k) (bucket s h) with
   | Some n ->
       touch s n;
       n.value
   | None ->
       while s.st.entries >= t.bound do
-        evict_lru s;
-        on_evict ()
+        evict_lru s
       done;
       let value = create () in
       let words = Obj.reachable_words (Obj.repr value) in
@@ -159,22 +160,22 @@ let find t ~h k =
       scan (bucket s h))
 
 (** The value for [k], touched; when absent, the shard is evicted down
-    below its bound ([on_evict] runs once per victim) and [create ()]
+    below its bound (each victim counted in {!stats}) and [create ()]
     becomes the new value. An entry present already wins, so racing
     inserts of one key keep one value. [update] then runs on the result
     under the same lock. Counts no hit or miss. *)
-let add ?(on_evict = ignore) ?update t ~h k create =
+let add ?update t ~h k create =
   locked t h (fun s ->
-      let v = add_locked on_evict t s h k create in
+      let v = add_locked t s h k create in
       Option.iter (fun f -> f v) update;
       v)
 
 (** Remove the entry whose value is physically [old] (a no-op when it
     is gone already) and {!add} [k] under the same lock. *)
-let replace ?(on_evict = ignore) t ~h ~old k create =
+let replace t ~h ~old k create =
   locked t h (fun s ->
       unlink s h (fun n -> n.value == old);
-      add_locked on_evict t s h k create)
+      add_locked t s h k create)
 
 (** Run [f] holding the lock that every operation on hash [h] takes:
     for a caller mutating a value it got from this map. *)

@@ -14,7 +14,10 @@
 
     Per-operator meter charges are {e self} charges: the node's
     accumulated meter minus its direct children's, so the self columns
-    sum to the whole-query meter (tested in [test_obs]). *)
+    sum to the whole-query meter (tested in [test_obs]).
+
+    {!ops_of_run} is the walk alone, over a run that already happened;
+    the service's feedback path takes its Q-error samples from it. *)
 
 module Plan = Exec.Plan
 module Meter = Exec.Meter
@@ -61,18 +64,18 @@ let q_error ~est ~act =
   let est = Float.max 1. est and act = Float.max 1. act in
   Float.max (est /. act) (act /. est)
 
-(** Execute [plan] against [db] and build the per-operator report. The
-    planner's cardinality estimates double as the executor's [card_of]
-    hints, so the hybrid engine choice reported here is the one a
-    served query would make; [engine] forces one path. *)
-let analyze ?meter ?engine (db : Db.t) (plan : Plan.t) : t =
-  let est_root, est_of = Planner.Plan_est.estimate db.Db.cat plan in
-  ignore est_root;
-  let es = Executor.engine_stats_create () in
-  let _, rows, whole, stat_of =
-    Executor.execute_analyzed ?meter ?engine ~engine_stats:es ~card_of:est_of
-      db plan
-  in
+(** The Q-errors of the operators that executed, in pre-order: one
+    sample per physical node, taken at its first occurrence. *)
+let q_errors (ops : op list) : float list =
+  List.filter_map
+    (fun o -> if Float.is_nan o.op_q_error then None else Some o.op_q_error)
+    ops
+
+(** The operator rows of an analyze-mode execution of [plan] that
+    already ran: [stat_of] is its per-node lookup, [est_of] the
+    planner's per-node estimates. *)
+let ops_of_run (cat : Catalog.t) (plan : Plan.t) ~est_of
+    ~(stat_of : Plan.t -> Executor.node_stat option) : op list =
   let visited : unit Executor.Ptbl.t = Executor.Ptbl.create 64 in
   let ops = ref [] in
   (* partitioned scans carry the costed pruning decision in the label:
@@ -81,7 +84,7 @@ let analyze ?meter ?engine (db : Db.t) (plan : Plan.t) : t =
     let base = Plan.node_label p in
     match p with
     | Plan.Part_scan { table; prune; _ } -> (
-        match Catalog.part_spec db.Db.cat table with
+        match Catalog.part_spec cat table with
         | Some ps ->
             let est =
               List.length
@@ -157,12 +160,21 @@ let analyze ?meter ?engine (db : Db.t) (plan : Plan.t) : t =
     List.iter (walk (depth + 1)) (Plan.children p)
   in
   walk 0 plan;
-  let ops = List.rev !ops in
-  let executed_qes =
-    List.filter_map
-      (fun o -> if Float.is_nan o.op_q_error then None else Some o.op_q_error)
-      ops
+  List.rev !ops
+
+(** Execute [plan] against [db] and build the per-operator report. The
+    planner's cardinality estimates double as the executor's [card_of]
+    hints, so the hybrid engine choice reported here is the one a
+    served query would make; [engine] forces one path. *)
+let analyze ?meter ?engine (db : Db.t) (plan : Plan.t) : t =
+  let _, est_of = Planner.Plan_est.estimate db.Db.cat plan in
+  let es = Executor.engine_stats_create () in
+  let _, rows, whole, stat_of =
+    Executor.execute_analyzed ?meter ?engine ~engine_stats:es ~card_of:est_of
+      db plan
   in
+  let ops = ops_of_run db.Db.cat plan ~est_of ~stat_of in
+  let executed_qes = q_errors ops in
   let root_qe =
     match ops with
     | o :: _ when not (Float.is_nan o.op_q_error) -> o.op_q_error

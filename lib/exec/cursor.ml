@@ -1,7 +1,9 @@
 (** Shared execution substrate for the row ({!Executor}) and columnar
     ({!Vector}) engines: the cursor protocol, block combinators, the
-    execution context with the hybrid engine choice, analyze-mode
-    statistics, and the aggregation accumulators.
+    execution context with the hybrid engine choice, the engine stats
+    (the executor's one count of dispatches, partitions and DOP; it
+    writes no registry counter), analyze-mode statistics, and the
+    aggregation accumulators.
 
     Both engines compile plans into trees of {!cursor}s exchanging
     {!Batch.t} blocks, charge work to the same {!Meter}, and must stay
@@ -41,8 +43,10 @@ let engine_of_string = function
 (** Per-execution counters of engine choices, one count per pipeline
     source (scan) prepared, plus the partition-execution counters of
     this run: partitions scanned / pruned by [Part_scan]s and
-    [Exchange]s, and the widest effective exchange DOP. Surfaced in
-    trace spans, the service report and the query store. *)
+    [Exchange]s, and the widest effective exchange DOP. The only
+    counter of these facts: trace spans, the service report, the query
+    store and the registry's [exec_*] metrics (published per request by
+    the service) all read this record. *)
 type engine_stats = {
   mutable es_vector : int;
   mutable es_row : int;
@@ -54,103 +58,34 @@ type engine_stats = {
 let engine_stats_create () =
   { es_vector = 0; es_row = 0; es_parts_scanned = 0; es_parts_pruned = 0; es_dop = 0 }
 
-(* process-wide metrics riding along the per-execution counters: engine
-   dispatch totals and the batch-fill histogram. Handles are lazy so the
-   registry entries only exist once an executor actually runs, and
-   cached so the hot path is one bool check plus a field bump. *)
-module Mx = Obs.Metrics
-
-let m_dispatch_row =
-  lazy
-    (Mx.counter
-       ~labels:[ ("engine", "row") ]
-       Mx.default "exec_pipeline_dispatch_total")
-
-let m_dispatch_vector =
-  lazy
-    (Mx.counter
-       ~labels:[ ("engine", "vector") ]
-       Mx.default "exec_pipeline_dispatch_total")
-
-let m_batch_fill = lazy (Mx.histogram Mx.default "exec_batch_fill_rows")
-
-(* partition-execution metrics: process-wide totals of partitions
-   scanned vs pruned away, the effective DOP of every exchange, and the
-   task-queue depth observed by exchange workers as they claim work *)
-let m_parts_scanned =
-  lazy (Mx.counter Mx.default "exec_partitions_scanned_total")
-
-let m_parts_pruned =
-  lazy (Mx.counter Mx.default "exec_partitions_pruned_total")
-
-let m_exchange_dop = lazy (Mx.gauge Mx.default "exec_exchange_dop")
-
-let m_exchange_queue =
-  lazy (Mx.histogram Mx.default "exec_exchange_queue_depth")
-
-(** Force the cached registry handles. [Lazy.force] of one suspension
-    from two domains at once can raise [Lazy.Undefined], so a server —
-    and the exchange operator — prewarms every executor handle before
-    spawning workers. *)
-let prewarm_metrics () =
-  ignore (Lazy.force m_dispatch_row);
-  ignore (Lazy.force m_dispatch_vector);
-  ignore (Lazy.force m_batch_fill);
-  ignore (Lazy.force m_parts_scanned);
-  ignore (Lazy.force m_parts_pruned);
-  ignore (Lazy.force m_exchange_dop);
-  ignore (Lazy.force m_exchange_queue)
-
 (** Count a pruning outcome: [scanned] surviving partitions read,
-    [pruned] skipped. Feeds both the per-execution stats and the
-    process-wide counters. *)
-let count_parts (es : engine_stats option) ~scanned ~pruned =
-  (match es with
-  | Some es ->
-      es.es_parts_scanned <- es.es_parts_scanned + scanned;
-      es.es_parts_pruned <- es.es_parts_pruned + pruned
-  | None -> ());
-  if !Mx.enabled then begin
-    if scanned > 0 then Mx.add (Lazy.force m_parts_scanned) scanned;
-    if pruned > 0 then Mx.add (Lazy.force m_parts_pruned) pruned
-  end
+    [pruned] skipped. *)
+let count_parts (es : engine_stats) ~scanned ~pruned =
+  es.es_parts_scanned <- es.es_parts_scanned + scanned;
+  es.es_parts_pruned <- es.es_parts_pruned + pruned
 
 (** Fold one exchange task's engine stats into the caller's, the way
     its meter folds into the caller's meter. *)
-let add_engine_stats (dst : engine_stats option) (src : engine_stats) =
-  match dst with
-  | Some d ->
-      d.es_vector <- d.es_vector + src.es_vector;
-      d.es_row <- d.es_row + src.es_row;
-      d.es_parts_scanned <- d.es_parts_scanned + src.es_parts_scanned;
-      d.es_parts_pruned <- d.es_parts_pruned + src.es_parts_pruned;
-      d.es_dop <- max d.es_dop src.es_dop
-  | None -> ()
+let add_engine_stats (d : engine_stats) (src : engine_stats) =
+  d.es_vector <- d.es_vector + src.es_vector;
+  d.es_row <- d.es_row + src.es_row;
+  d.es_parts_scanned <- d.es_parts_scanned + src.es_parts_scanned;
+  d.es_parts_pruned <- d.es_parts_pruned + src.es_parts_pruned;
+  d.es_dop <- max d.es_dop src.es_dop
 
-(** Record the effective worker count of one exchange execution. *)
-let observe_dop (es : engine_stats option) dop =
-  (match es with
-  | Some es -> if dop > es.es_dop then es.es_dop <- dop
-  | None -> ());
-  if !Mx.enabled then Mx.set (Lazy.force m_exchange_dop) (float_of_int dop)
+(* the two per-event histograms no per-request record copies: batch
+   fills and the exchange task-queue depth a worker sees as it claims
+   a task. Module-level handles, so any domain may observe them. *)
+module Mx = Obs.Metrics
 
-(** Record the task-queue depth seen by a worker claiming a task. *)
+let m_batch_fill = Mx.histogram Mx.default "exec_batch_fill_rows"
+let m_exchange_queue = Mx.histogram Mx.default "exec_exchange_queue_depth"
+
 let observe_exchange_queue depth =
-  if !Mx.enabled then Mx.observe_int (Lazy.force m_exchange_queue) depth
-
-(** Count one pipeline dispatched to the row engine (per-execution
-    stats plus the process-wide counter). *)
-let dispatch_row (es : engine_stats option) =
-  (match es with Some es -> es.es_row <- es.es_row + 1 | None -> ());
-  if !Mx.enabled then Mx.inc (Lazy.force m_dispatch_row)
-
-(** Count one pipeline dispatched to the vectorized engine. *)
-let dispatch_vector (es : engine_stats option) =
-  (match es with Some es -> es.es_vector <- es.es_vector + 1 | None -> ());
-  if !Mx.enabled then Mx.inc (Lazy.force m_dispatch_vector)
+  if !Mx.enabled then Mx.observe_int m_exchange_queue depth
 
 let observe_batch_fill (b : B.t) =
-  if !Mx.enabled then Mx.observe_int (Lazy.force m_batch_fill) b.B.len
+  if !Mx.enabled then Mx.observe_int m_batch_fill b.B.len
 
 (* ------------------------------------------------------------------ *)
 (* Analyze-mode statistics                                              *)
@@ -218,7 +153,7 @@ type ctx = {
   vector_threshold : float;
       (** [Auto] vectorizes a pipeline whose source-scan cardinality
           estimate reaches this *)
-  estats : engine_stats option;
+  estats : engine_stats;
   restrict : int option;
       (** partition restriction installed by an {!Plan.Exchange} task:
           [Some i] makes every [Part_scan] in the (sub)plan read only

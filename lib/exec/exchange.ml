@@ -28,12 +28,7 @@
     contract — rows {e and} merged meters are bit-identical to running
     the tasks sequentially, whatever the dop. A task exception is
     captured, the remaining tasks still run, and the first failing task
-    in task order is re-raised once no task of the call is running.
-
-    The caller must {!Cursor.prewarm_metrics} (done by the executor's
-    exchange operator) before fanning out: forcing one lazy metric
-    handle from two domains at once can raise [Lazy.Undefined], which
-    would surface as the failing task's exception. *)
+    in task order is re-raised once no task of the call is running. *)
 
 module Chan = Concur.Chan
 

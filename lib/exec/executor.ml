@@ -675,7 +675,7 @@ and prepare_node (ctx : ctx) (scopes : layout list) (p : Plan.t) : cursor =
       (* reaching this branch means the vectorized engine declined the
          pipeline above this scan (or mode Row; index scans always run
          the row path): one row choice *)
-      dispatch_row ctx.estats;
+      ctx.estats.es_row <- ctx.estats.es_row + 1;
       scan_cursor ctx (scan_leaf ctx scopes p)
   | Plan.Exchange { child; dop } -> prepare_exchange ctx scopes child dop
   | Plan.Filter { child; preds } ->
@@ -1424,7 +1424,6 @@ and prepare_exchange ctx scopes child dop =
       (* no partitioned scan below: nothing to fan out over *)
       prepare ctx scopes child
   | scans ->
-      Cursor.prewarm_metrics ();
       let specs =
         List.map
           (fun (table, pr) ->
@@ -1452,7 +1451,7 @@ and prepare_exchange ctx scopes child dop =
             ctx with
             meter = m;
             analyze = tbl;
-            estats = Some es;
+            estats = es;
             restrict = Some t;
           }
         in
@@ -1481,7 +1480,8 @@ and prepare_exchange ctx scopes child dop =
                 ~pruned:(ps.Catalog.ps_n - s))
             survivors;
           if tasks <> [] then
-            observe_dop ctx.estats (max 1 (min dop (List.length tasks)));
+            ctx.estats.es_dop <-
+              max ctx.estats.es_dop (max 1 (min dop (List.length tasks)));
           let prepared = Array.of_list (List.map prepare_task tasks) in
           let results =
             Exchange.run_tasks ~dop
@@ -1624,10 +1624,11 @@ let run_root (ctx : ctx) (plan : Plan.t) : row list =
     choice. [engine] picks the execution engine ([Auto] consults
     [card_of], the planner's per-node cardinality hint, against
     [vector_threshold]); [engine_stats] receives per-pipeline choice
-    counts when provided. *)
+    and partition counts (a fresh record when omitted). *)
 let execute ?meter ?(binds = [||]) ?(batch_size = default_batch_size)
     ?(engine = Auto) ?(card_of = fun _ -> None)
-    ?(vector_threshold = default_vector_threshold) ?engine_stats (db : Db.t)
+    ?(vector_threshold = default_vector_threshold)
+    ?(engine_stats = engine_stats_create ()) (db : Db.t)
     (plan : Plan.t) : layout * row list * Meter.t =
   let meter = match meter with Some m -> m | None -> Meter.create () in
   let ctx =
@@ -1654,7 +1655,8 @@ let execute ?meter ?(binds = [||]) ?(batch_size = default_batch_size)
 let execute_analyzed ?meter ?(binds = [||])
     ?(batch_size = default_batch_size) ?(engine = Auto)
     ?(card_of = fun _ -> None)
-    ?(vector_threshold = default_vector_threshold) ?engine_stats (db : Db.t)
+    ?(vector_threshold = default_vector_threshold)
+    ?(engine_stats = engine_stats_create ()) (db : Db.t)
     (plan : Plan.t) :
     layout * row list * Meter.t * (Plan.t -> node_stat option) =
   let meter = match meter with Some m -> m | None -> Meter.create () in

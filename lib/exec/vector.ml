@@ -1020,6 +1020,6 @@ let try_root (ctx : ctx) (scopes : layout list) (p : Plan.t) : cursor option =
       in
       if not use then None
       else begin
-        dispatch_vector ctx.estats;
+        ctx.estats.es_vector <- ctx.estats.es_vector + 1;
         Some (build ctx scopes cd)
       end

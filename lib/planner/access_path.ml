@@ -467,18 +467,16 @@ let extend (t : Ctx.t) ~env ~local ~(join_preds : A.pred list) (lp : partial)
           Model.table_scan ~pages ~rows:e.e_rows ~out:rrows
         in
         let rplan = Plan.Table_scan { table; alias = e.e_alias; filter = e.e_single } in
-        if t.Ctx.cfg.Ctx.enable_hash_join then
-          add
-            (mk
-               (Plan.Join
-                  { meth = Plan.Hash; role; left = lp.p_plan; right = rplan; cond = conds })
-               (Model.hash_join ~lcost:lp.p_cost ~rcost ~lrows:lp.p_rows
-                  ~rrows ~pairs:inner_out ~out:out_rows));
+        add
+          (mk
+             (Plan.Join
+                { meth = Plan.Hash; role; left = lp.p_plan; right = rplan; cond = conds })
+             (Model.hash_join ~lcost:lp.p_cost ~rcost ~lrows:lp.p_rows
+                ~rrows ~pairs:inner_out ~out:out_rows));
         if
-          t.Ctx.cfg.Ctx.enable_merge_join
-          && match role with
-             | Plan.Inner | Plan.Semi | Plan.Anti -> true
-             | _ -> false
+          match role with
+          | Plan.Inner | Plan.Semi | Plan.Anti -> true
+          | _ -> false
         then
           add
             (mk
@@ -522,7 +520,7 @@ let extend (t : Ctx.t) ~env ~local ~(join_preds : A.pred list) (lp : partial)
               match p with A.Cmp (A.Eq, _, _) -> true | _ -> false)
             conds
         in
-        if has_equi && t.Ctx.cfg.Ctx.enable_hash_join then
+        if has_equi then
           add
             (mk
                (Plan.Join

@@ -468,7 +468,7 @@ and optimize_block_core t ~outer ~out_alias (b : A.block) : Annotation.t =
     if n = 1 then
       Ap.initial_partial t ~outer ~env:full_env ~local:local_aliases
         (List.hd entries)
-    else if n <= t.Ctx.cfg.Ctx.dp_threshold then
+    else if n <= Ctx.dp_threshold then
       Join_enum.dp_join t ~outer ~env:full_env ~local:local_aliases
         ~entries:entries_arr ~join_preds
     else

@@ -1,7 +1,6 @@
-(** Shared optimizer context: catalog, configuration, caches and
-    counters, threaded through the split planner modules
-    ({!Access_path}, {!Join_enum}, {!Block_cost}) behind the
-    {!Optimizer} façade.
+(** Shared optimizer context: catalog, caches and counters, threaded
+    through the split planner modules ({!Access_path}, {!Join_enum},
+    {!Block_cost}) behind the {!Optimizer} façade.
 
     Two annotation caches implement the cost-annotation reuse of
     Section 3.4.2:
@@ -36,16 +35,9 @@ module Plan = Exec.Plan
 exception Unsupported of string
 exception Cost_cap_exceeded
 
-type config = {
-  dp_threshold : int;
-      (** maximum number of FROM entries for exhaustive left-deep DP;
-          larger blocks use a greedy ordering *)
-  enable_merge_join : bool;
-  enable_hash_join : bool;
-}
-
-let default_config =
-  { dp_threshold = 9; enable_merge_join = true; enable_hash_join = true }
+(** Maximum number of FROM entries for exhaustive left-deep DP; larger
+    blocks use a greedy ordering. *)
+let dp_threshold = 9
 
 (** Hashing on the physical identity of a query node. [Hashtbl.hash] is
     depth-bounded, so hashing is O(1) in the subtree size; [( == )]
@@ -59,7 +51,6 @@ end)
 
 type t = {
   cat : Catalog.t;
-  cfg : config;
   stats : Opt_stats.t;
   annot_cache :
     (int, (string * Ast.query * Annotation.t) list) Hashtbl.t option;
@@ -93,11 +84,9 @@ type t = {
           cost cross-checks here. Exceptions propagate. *)
 }
 
-let create ?(cfg = default_config) ?annot_cache ?(tracer = Obs.Trace.disabled)
-    cat =
+let create ?annot_cache ?(tracer = Obs.Trace.disabled) cat =
   {
     cat;
-    cfg;
     stats = Opt_stats.create ();
     annot_cache;
     ident_cache = Qtbl.create 64;

@@ -10,7 +10,7 @@
 
     The implementation is split by layer:
 
-    - {!Opt_ctx} — catalog, configuration, annotation caches (identity +
+    - {!Opt_ctx} — catalog, DP threshold, annotation caches (identity +
       fingerprint), cost cap, dirty set, counters;
     - {!Access_path} — per-table access-path choice and join methods;
     - {!Join_enum} — left-deep DP with partial-order constraints and
@@ -19,23 +19,14 @@
       store;
     - {!Opt_stats} — observability counters.
 
-    Callers keep compiling against [Opt.*]: the context record, its
-    exceptions and the configuration are re-exported here. *)
+    Callers keep compiling against [Opt.*]: the context record and its
+    exceptions are re-exported here. *)
 
 exception Unsupported = Opt_ctx.Unsupported
 exception Cost_cap_exceeded = Opt_ctx.Cost_cap_exceeded
 
-type config = Opt_ctx.config = {
-  dp_threshold : int;
-  enable_merge_join : bool;
-  enable_hash_join : bool;
-}
-
-let default_config = Opt_ctx.default_config
-
 type t = Opt_ctx.t = {
   cat : Catalog.t;
-  cfg : config;
   stats : Opt_stats.t;
   annot_cache :
     (int, (string * Sqlir.Ast.query * Annotation.t) list) Hashtbl.t option;

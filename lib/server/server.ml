@@ -30,11 +30,7 @@
     - {b Everything else is per-worker}: each worker owns one service,
       created with the pool, whose parse counters, engine stats and
       meter accumulators stay single-domain. Pool-level reporting merges
-      the per-worker reports and snapshots the shared cache once.
-
-    Before spawning, {!create} calls {!Service.prewarm}: the service
-    layer caches its registry handles in [lazy] cells, and concurrent
-    [Lazy.force] of one suspension raises [Lazy.Undefined]. *)
+      the per-worker reports and snapshots the shared cache once. *)
 
 open Sqlir
 module A = Ast
@@ -220,9 +216,6 @@ let worker_loop t (svc : Svc.t) () =
     two), so concurrent probes rarely meet on a lock. *)
 let create ?(config = default_config) (db : Db.t) : t =
   let config = { config with workers = max 1 config.workers } in
-  (* force every lazy registry handle on the query path before any
-     domain can race a suspension *)
-  Svc.prewarm ();
   let shards = 4 * config.workers in
   let cache = Pc.create ~capacity:config.svc.Svc.capacity ~shards () in
   let store = Qs.create ~capacity:config.svc.Svc.store_capacity ~shards () in

@@ -16,10 +16,12 @@
     Storage, sharding, least-recently-used replacement and the exact
     hit / miss / collision / eviction / memory accounting are
     {!Concur.Lru}'s: every operation takes one shard lock, so workers
-    probing different shards never contend. Racing hard parses of the
-    same new query are deduped at insert: [store] returns the entry
-    that won, and the loser's plan is dropped rather than
-    double-counted. The default [shards = 1] keeps one global LRU
+    probing different shards never contend. Those counters are the only
+    count of evictions and footprint; {!publish_metrics} publishes the
+    registry's [plan_cache_*] metrics from them at report time. Racing
+    hard parses of the same new query are deduped at insert: [store]
+    returns the entry that won, and the loser's plan is dropped rather
+    than double-counted. The default [shards = 1] keeps one global LRU
     order.
 
     Each entry also carries its {e executable form} ({!exec}): the
@@ -33,13 +35,11 @@ module Mx = Obs.Metrics
 module Lru = Concur.Lru
 
 (* the cache's footprint and churn, published to the process-wide
-   registry: evictions are counted live (one atomic add on the
-   eviction path); the footprint gauges are refreshed by
-   [publish_metrics] at report time so the hot path never sums
-   shards *)
-let m_evictions = lazy (Mx.counter Mx.default "plan_cache_evictions_total")
-let m_words = lazy (Mx.gauge Mx.default "plan_cache_memory_words")
-let m_entries = lazy (Mx.gauge Mx.default "plan_cache_entries")
+   registry by [publish_metrics] at report time from the LRU's own
+   counters, so the hot path never sums shards *)
+let m_evictions = Mx.counter Mx.default "plan_cache_evictions_total"
+let m_words = Mx.gauge Mx.default "plan_cache_memory_words"
+let m_entries = Mx.gauge Mx.default "plan_cache_entries"
 
 (** What an execution runs: the optimizer's plan after the
     {!Planner.Parallel} post-pass, and the {!Planner.Plan_est} per-node
@@ -81,14 +81,23 @@ type stats = {
   collisions : int;  (** bucket entries that failed the key comparison *)
 }
 
-type t = { lru : (A.query, entry) Lru.t; invalidations : int Atomic.t }
+type t = {
+  lru : (A.query, entry) Lru.t;
+  invalidations : int Atomic.t;
+  evictions_pub : int Atomic.t;
+      (** the LRU eviction count already added to the registry *)
+}
 
 (** [shards] is rounded up to a power of two; the default [1] keeps the
     single-lock, single-LRU behavior of a private cache. A server
     passes its worker count (or more) so probes spread over
     independently-locked shards. *)
 let create ?(capacity = 128) ?(shards = 1) () =
-  { lru = Lru.create ~capacity ~shards; invalidations = Atomic.make 0 }
+  {
+    lru = Lru.create ~capacity ~shards;
+    invalidations = Atomic.make 0;
+    evictions_pub = Atomic.make 0;
+  }
 
 (** Point-in-time totals summed over the shards. *)
 let stats t : stats =
@@ -108,15 +117,13 @@ let length t = (Lru.stats t.lru).entries
     the entry's recency. *)
 let find t ~(h : int) ~(key : A.query) : entry option = Lru.find t.lru ~h key
 
-let count_eviction () = if !Mx.enabled then Mx.inc (Lazy.force m_evictions)
-
 (** Insert a fresh entry, evicting its shard down to capacity first.
     Returns the stored entry — which is the {e winning} entry if
     another domain raced the same key in first. *)
 let store t ~(h : int) ~(key : A.query) ~(ann : Planner.Annotation.t)
     ~(binds : int) ~(tables : string list) ~(epochs : (string * int) list) :
     entry =
-  Lru.add ~on_evict:count_eviction t.lru ~h key (fun () ->
+  Lru.add t.lru ~h key (fun () ->
       {
         e_key = key;
         e_ann = ann;
@@ -131,7 +138,7 @@ let store t ~(h : int) ~(key : A.query) ~(ann : Planner.Annotation.t)
     the result is the entry now live for the key. *)
 let replace t ~(h : int) ~(old_e : entry) ~(ann : Planner.Annotation.t)
     ~(epochs : (string * int) list) : entry =
-  Lru.replace ~on_evict:count_eviction t.lru ~h ~old:old_e old_e.e_key
+  Lru.replace t.lru ~h ~old:old_e old_e.e_key
     (fun () ->
       { old_e with e_ann = ann; e_epochs = epochs; e_exec = Atomic.make None })
 
@@ -158,20 +165,25 @@ let count_invalidation t ~h:(_ : int) = Atomic.incr t.invalidations
 let refresh_epochs t ~(h : int) (e : entry) ~(epochs : (string * int) list) =
   Lru.exclusive t.lru ~h (fun () -> e.e_epochs <- epochs)
 
-(** Push the footprint gauges to the registry (report-time; the
-    hot path never pays the shard sweep). *)
+(** Push the footprint gauges and the evictions since the last publish
+    to the registry (report-time; the hot path never pays the shard
+    sweep). Services sharing the cache publish concurrently: each claims
+    its delta by compare-and-set, so an eviction is added once and the
+    counter never steps back when a staler snapshot loses the race. *)
 let publish_metrics t =
   if !Mx.enabled then begin
     let s = Lru.stats t.lru in
-    Mx.set (Lazy.force m_words) (float_of_int s.words);
-    Mx.set (Lazy.force m_entries) (float_of_int s.entries)
+    let rec claim () =
+      let pub = Atomic.get t.evictions_pub in
+      if s.evictions > pub then
+        if Atomic.compare_and_set t.evictions_pub pub s.evictions then
+          Mx.add m_evictions (s.evictions - pub)
+        else claim ()
+    in
+    claim ();
+    Mx.set m_words (float_of_int s.words);
+    Mx.set m_entries (float_of_int s.entries)
   end
-
-(** Force the cached registry handles (see {!Service.prewarm}). *)
-let prewarm () =
-  ignore (Lazy.force m_evictions);
-  ignore (Lazy.force m_words);
-  ignore (Lazy.force m_entries)
 
 let hit_rate t =
   let st = stats t in

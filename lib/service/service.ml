@@ -147,58 +147,49 @@ type t = {
       (** the prefix of [meter_tot] already published to the registry *)
 }
 
-(* hot-path metric handles, cached so an instrumented exec costs one
-   bool check plus field bumps, never a registry lookup. [Mx.reset]
-   zeroes values in place, so the handles stay valid across resets. *)
+(* hot-path metric handles, registered when the module initializes, so
+   an instrumented exec costs one bool check plus field bumps, never a
+   registry lookup. [Mx.reset] zeroes values in place, so the handles
+   stay valid across resets. *)
 let m_soft_parse =
-  lazy
-    (Mx.histogram ~labels:[ ("kind", "soft") ] Mx.default "svc_parse_seconds")
+  Mx.histogram ~labels:[ ("kind", "soft") ] Mx.default "svc_parse_seconds"
 
 let m_hard_parse =
-  lazy
-    (Mx.histogram ~labels:[ ("kind", "hard") ] Mx.default "svc_parse_seconds")
+  Mx.histogram ~labels:[ ("kind", "hard") ] Mx.default "svc_parse_seconds"
 
-let m_execute = lazy (Mx.histogram Mx.default "svc_execute_seconds")
-let m_rows = lazy (Mx.counter Mx.default "svc_rows_returned_total")
+let m_execute = Mx.histogram Mx.default "svc_execute_seconds"
+let m_rows = Mx.counter Mx.default "svc_rows_returned_total"
 
 let m_outcome name =
   Mx.counter ~labels:[ ("outcome", name) ] Mx.default "svc_cache_outcomes_total"
 
-let m_oc_hit = lazy (m_outcome "hit")
-let m_oc_miss = lazy (m_outcome "miss")
-let m_oc_inval = lazy (m_outcome "invalidated")
-let m_oc_reval = lazy (m_outcome "revalidated")
+let m_oc_hit = m_outcome "hit"
+let m_oc_miss = m_outcome "miss"
+let m_oc_inval = m_outcome "invalidated"
+let m_oc_reval = m_outcome "revalidated"
+
+(* the executor's per-request engine stats, published by [exec_ir] *)
+let m_dispatch engine =
+  Mx.counter ~labels:[ ("engine", engine) ] Mx.default
+    "exec_pipeline_dispatch_total"
+
+let m_dispatch_row = m_dispatch "row"
+let m_dispatch_vector = m_dispatch "vector"
+let m_parts_scanned = Mx.counter Mx.default "exec_partitions_scanned_total"
+let m_parts_pruned = Mx.counter Mx.default "exec_partitions_pruned_total"
+let m_exchange_dop = Mx.gauge Mx.default "exec_exchange_dop"
 
 (* one counter per canonical meter field, in Meter.field_names order so
    positional iteration over Meter.values lines up *)
 let m_meter_fields =
-  lazy
-    (Array.of_list
-       (List.map
-          (fun f -> Mx.counter ~labels:[ ("field", f) ] Mx.default "svc_meter_total")
-          Exec.Meter.field_names))
+  Array.of_list
+    (List.map
+       (fun f -> Mx.counter ~labels:[ ("field", f) ] Mx.default "svc_meter_total")
+       Exec.Meter.field_names)
 
 (* the one shared name array the query store keys meter accumulation
    on (physical equality = the positional fast path) *)
-let meter_names = lazy (Array.of_list Exec.Meter.field_names)
-
-(** Force every cached lazy metric handle on the query path. OCaml's
-    [Lazy.force] raises [Lazy.Undefined] when two domains race the same
-    unforced suspension, so a concurrent server calls this once before
-    spawning workers; single-domain users never need it. *)
-let prewarm () =
-  ignore (Lazy.force m_soft_parse);
-  ignore (Lazy.force m_hard_parse);
-  ignore (Lazy.force m_execute);
-  ignore (Lazy.force m_rows);
-  ignore (Lazy.force m_oc_hit);
-  ignore (Lazy.force m_oc_miss);
-  ignore (Lazy.force m_oc_inval);
-  ignore (Lazy.force m_oc_reval);
-  ignore (Lazy.force m_meter_fields);
-  ignore (Lazy.force meter_names);
-  Plan_cache.prewarm ();
-  Exec.Cursor.prewarm_metrics ()
+let meter_names = Array.of_list Exec.Meter.field_names
 
 (** [create ?cache ?store db] builds a service over [db]. [cache] and
     [store] default to private single-shard instances sized by the
@@ -291,16 +282,13 @@ let resolve t (peeked : A.query) : resolved =
         t.hard_parses <- t.hard_parses + 1;
         t.hard_s <- t.hard_s +. dt);
     (if metrics_on t then begin
-       Mx.observe
-         (Lazy.force (match outcome with Hit -> m_soft_parse | _ -> m_hard_parse))
-         dt;
+       Mx.observe (match outcome with Hit -> m_soft_parse | _ -> m_hard_parse) dt;
        Mx.inc
-         (Lazy.force
-            (match outcome with
-            | Hit -> m_oc_hit
-            | Miss -> m_oc_miss
-            | Invalidated -> m_oc_inval
-            | Revalidated -> m_oc_reval))
+         (match outcome with
+         | Hit -> m_oc_hit
+         | Miss -> m_oc_miss
+         | Invalidated -> m_oc_inval
+         | Revalidated -> m_oc_reval)
      end);
     {
       rs_entry = e;
@@ -374,32 +362,6 @@ let squeeze_ws s =
     s;
   Buffer.contents buf
 
-(** Per-operator Q-errors of one analyze-mode execution: estimated
-    rows (fresh {!Planner.Plan_est} pass over the cached plan) against
-    per-invocation actuals, first visit of each physical node only —
-    the same normalization EXPLAIN ANALYZE reports. *)
-let qerrors t (plan : Exec.Plan.t)
-    (stat_of : Exec.Plan.t -> Exec.Executor.node_stat option) : float list =
-  let _, est_of = Planner.Plan_est.estimate t.db.Db.cat plan in
-  let visited : unit Exec.Executor.Ptbl.t = Exec.Executor.Ptbl.create 32 in
-  let acc = ref [] in
-  let rec walk p =
-    if not (Exec.Executor.Ptbl.mem visited p) then begin
-      Exec.Executor.Ptbl.add visited p ();
-      (match (stat_of p, est_of p) with
-      | Some st, Some est when st.Exec.Executor.ns_calls > 0 ->
-          let act =
-            float_of_int st.Exec.Executor.ns_rows
-            /. float_of_int (max 1 st.Exec.Executor.ns_calls)
-          in
-          acc := Cbqt.Explain.q_error ~est ~act :: !acc
-      | _ -> ());
-      List.iter walk (Exec.Plan.children p)
-    end
-  in
-  walk plan;
-  !acc
-
 (** Execute a parsed query. [binds] fills the query's explicit [:n]
     markers, in order; remaining constant literals are auto-
     parameterized and their values appended to the vector, so one
@@ -448,11 +410,20 @@ let exec_ir t (q : A.query) (binds : Value.t list) : exec_result =
         r)
   in
   let exec_s = Unix.gettimeofday () -. e0 in
-  Exec.Cursor.add_engine_stats (Some t.estats) es;
+  Exec.Cursor.add_engine_stats t.estats es;
   let nrows = List.length rows in
   (if metrics_on t then begin
-     Mx.observe (Lazy.force m_execute) exec_s;
-     Mx.add (Lazy.force m_rows) nrows;
+     Mx.observe m_execute exec_s;
+     Mx.add m_rows nrows;
+     (* the request's engine stats are the executor's one count of its
+        dispatches, partitions and DOP; zeros are skipped *)
+     let add c n = if n > 0 then Mx.add c n in
+     add m_dispatch_row es.Exec.Executor.es_row;
+     add m_dispatch_vector es.Exec.Executor.es_vector;
+     add m_parts_scanned es.Exec.Executor.es_parts_scanned;
+     add m_parts_pruned es.Exec.Executor.es_parts_pruned;
+     if es.Exec.Executor.es_dop > 0 then
+       Mx.set m_exchange_dop (float_of_int es.Exec.Executor.es_dop);
      (* one flat int array, iterated positionally both here and inside
         the store; accumulated into the contiguous [meter_tot] rather
         than 14 scattered counter records (see the field doc) *)
@@ -472,9 +443,16 @@ let exec_ir t (q : A.query) (binds : Value.t list) : exec_result =
                (s.D.sr_name, List.exists Fun.id s.D.sr_chosen))
              rp.D.rp_steps
      in
+     (* per-operator Q-errors of an analyze-mode run against a fresh
+        estimate of the cached plan, in reverse pre-order *)
      let qerrs =
        match stat_of with
-       | Some stat_of -> qerrors t plan stat_of
+       | Some stat_of ->
+           let cat = t.db.Db.cat in
+           let _, est_of = Planner.Plan_est.estimate cat plan in
+           List.rev
+             (Cbqt.Explain.q_errors
+                (Cbqt.Explain.ops_of_run cat plan ~est_of ~stat_of))
        | None -> []
      in
      ignore
@@ -485,7 +463,7 @@ let exec_ir t (q : A.query) (binds : Value.t list) : exec_result =
           ~text:(fun () -> squeeze_ws (Pp.query_to_string e.Plan_cache.e_key))
           ~outcome:(outcome_name rs.rs_outcome)
           ~rows:nrows ~exec_s ~parse_s:rs.rs_parse_s
-          ~meter_names:(Lazy.force meter_names) ~meter:vals
+          ~meter_names ~meter:vals
           ~vec_pipelines:es.Exec.Executor.es_vector
           ~row_pipelines:es.Exec.Executor.es_row)
    end);
@@ -529,7 +507,7 @@ let report t : report =
      (* publish the meter totals accumulated by [exec_ir] into the
         svc_meter_total counters (delta since the last publish, so
         repeated reports do not double count) *)
-     let mf = Lazy.force m_meter_fields in
+     let mf = m_meter_fields in
      Array.iteri
        (fun i v ->
          let d = v - t.meter_pub.(i) in

@@ -99,7 +99,6 @@ let spin n =
    at dop 2 only the caller and one helper ever run tasks, however many
    calls are made. A domain spawned per call would show ~400 ids. *)
 let test_run_tasks_reuse () =
-  Exec.Cursor.prewarm_metrics ();
   let seen = Hashtbl.create 8 in
   for _ = 1 to 200 do
     Ex.run_tasks ~dop:2 ~tasks:(List.init 8 Fun.id) ~f:(fun _ ->

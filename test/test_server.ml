@@ -15,7 +15,9 @@
       and the pool's accounting identity holds.
     - Shared-store / shared-cache accounting: concurrent observes are
       conserved exactly (no lost updates), and {!Concur.Lru} keeps its
-      bound and balances its counters while evicting under contention. *)
+      bound and balances its counters while evicting under contention.
+    - The registry adds up: its executor, eviction and row counters
+      equal the query store's and the cache's own counts. *)
 
 module QG = Workload.Query_gen
 module SG = Workload.Schema_gen
@@ -419,6 +421,97 @@ let test_lru_concurrent_eviction () =
        0 live)
     st.Lru.words
 
+(* The registry is published from the one count of each fact: after a
+   partitioned workload through a 4-worker pool at dop 2 and a cache
+   too small for its shapes, the executor counters equal the query
+   store's sums, the eviction counter equals the cache's own count, and
+   the returned-rows counter equals the store's rows. A direct executor
+   run publishes nothing: only the service writes the exec_* counters. *)
+let test_registry_adds_up () =
+  let pdb, pschema =
+    SG.build ~families:2 ~sample_frac:0.5 ~row_scale:0.04 ~partitions:4
+      ~seed:177 ()
+  in
+  let counter ?(labels = []) name =
+    Mx.counter_value (Mx.counter ~labels Mx.default name)
+  in
+  let exec_counters () =
+    [
+      counter ~labels:[ ("engine", "row") ] "exec_pipeline_dispatch_total";
+      counter ~labels:[ ("engine", "vector") ] "exec_pipeline_dispatch_total";
+      counter "exec_partitions_scanned_total";
+      counter "exec_partitions_pruned_total";
+    ]
+  in
+  let before = exec_counters () in
+  let evict0 = counter "plan_cache_evictions_total" in
+  let rows0 = counter "svc_rows_returned_total" in
+  let stmts =
+    let g = QG.create ~seed:404 pschema in
+    List.map (fun it -> Sv.Ir it.QG.it_query) (QG.workload g 40)
+  in
+  let svc =
+    { Svc.default_config with Svc.capacity = 8; dop = Planner.Parallel.Fixed 2 }
+  in
+  let pool =
+    Sv.create ~config:{ Sv.default_config with Sv.workers = 4; svc } pdb
+  in
+  let se = Sv.session pool in
+  for _ = 1 to 2 do
+    ignore (Sv.run_batch pool se stmts)
+  done;
+  Sv.shutdown pool;
+  let rp = Sv.report pool in
+  let store = Sv.query_store pool in
+  let es = Qs.entries store in
+  let sum f = List.fold_left (fun acc e -> acc + f e) 0 es in
+  let delta = List.map2 ( - ) (exec_counters ()) before in
+  Alcotest.(check int) "no query-store evictions" 0 (Qs.evictions store);
+  Alcotest.(check int) "every request done" 80 rp.Sv.rp_done;
+  Alcotest.(check (list int))
+    "dispatch and partition counters = store and pool sums"
+    [
+      sum (fun e -> e.Qs.qe_row_pipelines);
+      sum (fun e -> e.Qs.qe_vec_pipelines);
+      rp.Sv.rp_parts_scanned;
+      rp.Sv.rp_parts_pruned;
+    ]
+    delta;
+  Alcotest.(check bool) "exchanges scanned partitions" true
+    (rp.Sv.rp_parts_scanned > 0 && rp.Sv.rp_dop_max = 2);
+  let evictions = rp.Sv.rp_cache.Pc.evictions in
+  Alcotest.(check bool)
+    (Printf.sprintf "the small cache evicts (%d)" evictions)
+    true (evictions > 0);
+  Alcotest.(check int) "eviction counter = cache evictions" evictions
+    (counter "plan_cache_evictions_total" - evict0);
+  Alcotest.(check int) "rows counter = store rows"
+    (sum (fun e -> e.Qs.qe_rows))
+    (counter "svc_rows_returned_total" - rows0);
+  (* a direct executor run of an exchange plan counts only into its own
+     engine stats *)
+  let before = exec_counters () in
+  let es = Exec.Executor.engine_stats_create () in
+  let plan =
+    Exec.Plan.Exchange
+      {
+        child =
+          Exec.Plan.Part_scan
+            {
+              table = "f0_fact0";
+              alias = "f";
+              filter = [];
+              prune = Exec.Plan.Pr_none;
+            };
+        dop = 2;
+      }
+  in
+  ignore (Exec.Executor.execute ~engine_stats:es pdb plan);
+  Alcotest.(check bool) "the exchange ran" true
+    (es.Exec.Executor.es_parts_scanned > 0 && es.Exec.Executor.es_dop = 2);
+  Alcotest.(check (list int)) "direct execution leaves exec_* unchanged" before
+    (exec_counters ())
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: concurrent service execs conserve store counts               *)
 (* ------------------------------------------------------------------ *)
@@ -491,6 +584,7 @@ let () =
             test_cache_accounting_under_contention;
           Alcotest.test_case "lru eviction under contention" `Quick
             test_lru_concurrent_eviction;
+          Alcotest.test_case "registry adds up" `Quick test_registry_adds_up;
         ] );
       ("properties", [ to_alco prop_concurrent_execs_conserved ]);
     ]
