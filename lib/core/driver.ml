@@ -398,7 +398,7 @@ let cost_step (ctx : ctx) (tx : T.Tx.t)
                     ~tx:(name ^ " (interleaved search state)")
                     ~base:q' (follow ctx.cat q')
                 in
-                if q'' == q' || Pp.fingerprint q'' = Pp.fingerprint q' then c
+                if Fingerprint.equal ~mode:With_peeks q'' q' then c
                 else
                   let dirty =
                     Some (Walk.Sset.union !touched (T.Tx.dirty_blocks q' q''))
@@ -615,6 +615,44 @@ let transform (ctx : ctx) (q : A.query) : A.query =
   (* 10. join predicate pushdown *)
   cost_step ctx T.Jppd.tx ~heuristic_mask:T.Jppd.heuristic_mask ctx.cfg.jppd q
 
+(* registry handles for what every hard parse publishes, registered
+   when the module initializes so publishing is a bool check plus
+   atomic adds, never a registry lookup. [Mx.reset] zeroes values in
+   place, so the handles stay valid across resets. *)
+let m_states = Mx.counter Mx.default "cbqt_states_total"
+let m_states_cutoff = Mx.counter Mx.default "cbqt_states_cutoff_total"
+let m_states_errored = Mx.counter Mx.default "cbqt_states_errored_total"
+let m_blocks_optimized = Mx.counter Mx.default "cbqt_blocks_optimized_total"
+let m_annot_reuse = Mx.counter Mx.default "cbqt_annot_reuse_total"
+let m_dp_pruned = Mx.counter Mx.default "cbqt_dp_pruned_total"
+let m_optimize_seconds = Mx.histogram Mx.default "cbqt_optimize_seconds"
+
+(* The [tx]-labelled counter of [metric] for a transformation step
+   name. Each handle is registered the first time a step of that name
+   publishes it, so the registry lists the same series as before, and
+   is found afterwards in a lock-free list shared by every domain. Two
+   domains that miss at once both publish the one handle the registry
+   keeps for the series, which is harmless. *)
+let tx_counter metric : string -> Mx.counter =
+  let known = Atomic.make [] in
+  fun name ->
+    match
+      List.find_opt (fun (n, _) -> String.equal n name) (Atomic.get known)
+    with
+    | Some (_, c) -> c
+    | None ->
+        let c = Mx.counter ~labels:[ ("tx", name) ] Mx.default metric in
+        let rec publish () =
+          let l = Atomic.get known in
+          if not (Atomic.compare_and_set known l ((name, c) :: l)) then
+            publish ()
+        in
+        publish ();
+        c
+
+let m_tx_attempts = tx_counter "cbqt_tx_attempts_total"
+let m_tx_accepts = tx_counter "cbqt_tx_accepts_total"
+
 (** Transform and physically optimize [q]. *)
 let optimize ?(config = default_config) (cat : Catalog.t) (q : A.query) :
     result =
@@ -706,22 +744,17 @@ let optimize ?(config = default_config) (cat : Catalog.t) (q : A.query) :
      every hard parse contributes, so the registry accumulates what a
      single report only shows per run *)
   (if !Mx.enabled then begin
-     let c name = Mx.counter Mx.default name in
-     Mx.add (c "cbqt_states_total") report.rp_states_total;
-     Mx.add (c "cbqt_states_cutoff_total") report.rp_states_cutoff;
-     Mx.add (c "cbqt_states_errored_total") report.rp_states_errored;
-     Mx.add (c "cbqt_blocks_optimized_total") report.rp_blocks_optimized;
-     Mx.add (c "cbqt_annot_reuse_total") report.rp_cache_hits;
-     Mx.add (c "cbqt_dp_pruned_total") report.rp_dp_pruned;
-     Mx.observe
-       (Mx.histogram Mx.default "cbqt_optimize_seconds")
-       report.rp_opt_seconds;
+     Mx.add m_states report.rp_states_total;
+     Mx.add m_states_cutoff report.rp_states_cutoff;
+     Mx.add m_states_errored report.rp_states_errored;
+     Mx.add m_blocks_optimized report.rp_blocks_optimized;
+     Mx.add m_annot_reuse report.rp_cache_hits;
+     Mx.add m_dp_pruned report.rp_dp_pruned;
+     Mx.observe m_optimize_seconds report.rp_opt_seconds;
      List.iter
        (fun s ->
-         let labels = [ ("tx", s.sr_name) ] in
-         Mx.inc (Mx.counter ~labels Mx.default "cbqt_tx_attempts_total");
-         if List.exists Fun.id s.sr_chosen then
-           Mx.inc (Mx.counter ~labels Mx.default "cbqt_tx_accepts_total"))
+         Mx.inc (m_tx_attempts s.sr_name);
+         if List.exists Fun.id s.sr_chosen then Mx.inc (m_tx_accepts s.sr_name))
        report.rp_steps
    end);
   { res_query = q'; res_annotation = ann; res_report = report; res_trace = tr }

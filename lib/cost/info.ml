@@ -26,8 +26,17 @@ type rel_info = {
 
 let empty = { ri_rows = 1.; ri_cols = [] }
 
+(** The first entry for column [c], matched with [String.equal] on the
+    column name first (the more selective key) and then the alias. *)
 let find_col info (c : Ast.col) =
-  List.assoc_opt (c.Ast.c_alias, c.Ast.c_col) info.ri_cols
+  let rec go = function
+    | [] -> None
+    | ((alias, col), ci) :: rest ->
+        if String.equal col c.Ast.c_col && String.equal alias c.Ast.c_alias
+        then Some ci
+        else go rest
+  in
+  go info.ri_cols
 
 (** Column info of an expression, when it is a bare column with known
     statistics. *)

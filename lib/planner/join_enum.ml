@@ -7,7 +7,8 @@
     partial plan already costing more than the cap cannot lead to a
     final plan under the cap (every extension only adds nonnegative
     cost), so it is discarded immediately instead of being carried to a
-    post-hoc check. Pruned entries are counted in
+    post-hoc check. Each subset is extended once, in the round of its
+    size, so every distinct pruned partial is counted once in
     {!Opt_stats.t.dp_pruned}; when pruning eliminates every complete
     join order the block's optimization aborts with
     {!Opt_ctx.Cost_cap_exceeded} — and, with completion-based counting,
@@ -19,6 +20,10 @@ module Ctx = Opt_ctx
 (** Does [cost] exceed the active cost cap? *)
 let over_cap (t : Ctx.t) (cost : float) =
   match t.Ctx.cost_cap with Some cap -> cost > cap | None -> false
+
+let popcount x =
+  let rec go x n = if x = 0 then n else go (x land (x - 1)) (n + 1) in
+  go x 0
 
 let dp_join (t : Ctx.t) ~outer ~env ~local ~(entries : Ap.entry array)
     ~join_preds : Ap.partial =
@@ -41,9 +46,17 @@ let dp_join (t : Ctx.t) ~outer ~env ~local ~(entries : Ap.entry array)
       if Ap.can_start e then
         consider (Ap.initial_partial t ~outer ~env ~local e))
     entries;
-  (* iterate by subset size *)
-  for _size = 1 to n - 1 do
-    let snapshot = Hashtbl.fold (fun k v acc -> (k, v) :: acc) best [] in
+  (* round [size] extends only the subsets of exactly [size] entries,
+     all of which the previous round completed; a smaller subset
+     extended again would only regenerate partials that tie with the
+     ones kept. Equal-cost partials keep the first one considered, so
+     the snapshot stays in the table's fold order. *)
+  for size = 1 to n - 1 do
+    let snapshot =
+      Hashtbl.fold
+        (fun k v acc -> if popcount k = size then (k, v) :: acc else acc)
+        best []
+    in
     List.iter
       (fun (set, lp) ->
         Array.iter

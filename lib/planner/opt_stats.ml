@@ -24,7 +24,8 @@ type t = {
           no re-fingerprinting, no re-walking *)
   mutable dp_pruned : int;
       (** partial join orders discarded by branch-and-bound against the
-          state cost cap (Section 3.4.1 pushed into the DP) *)
+          state cost cap (Section 3.4.1 pushed into the DP), each
+          distinct partial once *)
   mutable dirty_misses : int;
       (** blocks reported clean by the transformation's dirty set that
           nevertheless missed the identity cache (advisory: indicates a

@@ -289,9 +289,109 @@ let canonical ?(mode = Generic) (q : query) : query =
       | e -> e)
     q
 
-(** Structural equality under the given mode (qb_names ignored). *)
-let equal ?(mode = Generic) (a : query) (b : query) : bool =
-  canonical ~mode a = canonical ~mode b
+(* the equality [canonical] induces, decided by one walk over both
+   trees with no copy: physically equal subtrees are equal at once,
+   block names are skipped, and in [Generic] mode so are bind peeks *)
+let eq_value (a : V.t) (b : V.t) =
+  match (a, b) with
+  | V.Null, V.Null -> true
+  | V.Int x, V.Int y | V.Date x, V.Date y -> Int.equal x y
+  | V.Float x, V.Float y -> x = y
+  | V.Str x, V.Str y -> String.equal x y
+  | V.Bool x, V.Bool y -> Bool.equal x y
+  | _ -> false
+
+let rec eq_expr mode a b =
+  a == b
+  ||
+  let ee = eq_expr mode in
+  match (a, b) with
+  | Const x, Const y -> eq_value x y
+  | Bind (i, p), Bind (j, q) ->
+      Int.equal i j && (mode = Generic || eq_value p q)
+  | Col c, Col d ->
+      String.equal c.c_alias d.c_alias && String.equal c.c_col d.c_col
+  | Binop (o, a1, b1), Binop (p, a2, b2) -> o = p && ee a1 a2 && ee b1 b2
+  | Neg x, Neg y -> ee x y
+  | Agg (f, x, d), Agg (g, y, e) ->
+      f = g && Option.equal ee x y && Bool.equal d e
+  | Win (f, x, w), Win (g, y, v) ->
+      f = g && Option.equal ee x y
+      && List.equal ee w.w_pby v.w_pby
+      && List.equal (eq_ordered mode) w.w_oby v.w_oby
+  | Fn (n, xs), Fn (m, ys) -> String.equal n m && List.equal ee xs ys
+  | Case (xs, x), Case (ys, y) ->
+      List.equal
+        (fun (p, e) (q, f) -> eq_pred mode p q && ee e f)
+        xs ys
+      && Option.equal ee x y
+  | _ -> false
+
+and eq_ordered mode (e, d) (f, d') = d = d' && eq_expr mode e f
+
+and eq_pred mode a b =
+  a == b
+  ||
+  let ee = eq_expr mode and ep = eq_pred mode and eq = eq_query mode in
+  match (a, b) with
+  | True, True | False, False -> true
+  | Cmp (o, a1, b1), Cmp (p, a2, b2) -> o = p && ee a1 a2 && ee b1 b2
+  | Between (x, l, h), Between (y, m, i) -> ee x y && ee l m && ee h i
+  | Is_null x, Is_null y -> ee x y
+  | Not x, Not y | Lnnvl x, Lnnvl y -> ep x y
+  | And (a1, b1), And (a2, b2) | Or (a1, b1), Or (a2, b2) ->
+      ep a1 a2 && ep b1 b2
+  | In_list (x, vs), In_list (y, ws) -> ee x y && List.equal eq_value vs ws
+  | In_subq (xs, q), In_subq (ys, r) | Not_in_subq (xs, q), Not_in_subq (ys, r)
+    ->
+      List.equal ee xs ys && eq q r
+  | Exists q, Exists r | Not_exists q, Not_exists r -> eq q r
+  | Cmp_subq (o, x, qt, q), Cmp_subq (p, y, rt, r) ->
+      o = p && ee x y && qt = rt && eq q r
+  | Pred_fn (n, xs), Pred_fn (m, ys) -> String.equal n m && List.equal ee xs ys
+  | _ -> false
+
+and eq_block mode (a : block) (b : block) =
+  a == b
+  ||
+  let ee = eq_expr mode and ep = eq_pred mode in
+  List.equal
+    (fun x y -> String.equal x.si_name y.si_name && ee x.si_expr y.si_expr)
+    a.select b.select
+  && Bool.equal a.distinct b.distinct
+  && List.equal (eq_from_entry mode) a.from b.from
+  && List.equal ep a.where b.where
+  && List.equal ee a.group_by b.group_by
+  && List.equal ep a.having b.having
+  && List.equal (eq_ordered mode) a.order_by b.order_by
+  && Option.equal Int.equal a.limit b.limit
+
+and eq_from_entry mode x y =
+  x == y
+  || String.equal x.fe_alias y.fe_alias
+     && x.fe_kind = y.fe_kind
+     && (match (x.fe_source, y.fe_source) with
+        | S_table s, S_table t -> String.equal s t
+        | S_view q, S_view r -> eq_query mode q r
+        | _ -> false)
+     && List.equal (eq_pred mode) x.fe_cond y.fe_cond
+
+and eq_query mode a b =
+  a == b
+  ||
+  match (a, b) with
+  | Block x, Block y -> eq_block mode x y
+  | Setop (o, l1, r1), Setop (p, l2, r2) ->
+      o = p && eq_query mode l1 l2 && eq_query mode r1 r2
+  | _ -> false
+
+(** Structural equality under the given mode (qb_names ignored): the
+    same relation as comparing the two {!canonical} forms with [=],
+    except that a subtree is equal to itself even when it holds a NaN
+    literal. Decided without copying either tree, stopping at the first
+    difference; subtrees a rewrite shared with its input are not
+    walked. *)
+let equal ?(mode = Generic) (a : query) (b : query) : bool = eq_query mode a b
 
 (* ------------------------------------------------------------------ *)
 (* Parameterization                                                    *)

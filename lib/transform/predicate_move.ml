@@ -201,7 +201,9 @@ let push_block (b : A.block) : A.block =
 (* ------------------------------------------------------------------ *)
 
 (** One pass of transitive generation + view pushdown on every block,
-    repeated until a fixpoint (bounded to 4 rounds). *)
+    repeated until a fixpoint (bounded to 4 rounds): a round has
+    changed nothing when its result equals its input up to block names
+    ({!Fingerprint.equal}). *)
 let apply ?touched (_cat : Catalog.t) (q : A.query) : A.query =
   let round q =
     Tx.map_blocks_bottom_up ?touched
@@ -217,6 +219,6 @@ let apply ?touched (_cat : Catalog.t) (q : A.query) : A.query =
     if n = 0 then q
     else
       let q' = round q in
-      if Pp.fingerprint q' = Pp.fingerprint q then q else fix (n - 1) q'
+      if Fingerprint.equal ~mode:With_peeks q' q then q else fix (n - 1) q'
   in
   fix 4 q

@@ -546,6 +546,248 @@ let test_cost_cap_aborts () =
               ~from:[ tbl "employees" "e" ]
               ())))
 
+(* ------------------------------------------------------------------ *)
+(* Join enumeration: DP against brute force                             *)
+(* ------------------------------------------------------------------ *)
+
+module Ap = Planner.Access_path
+module Ctx = Planner.Opt_ctx
+module Sset = Walk.Sset
+
+(* the integer columns of each HR table, join and filter candidates *)
+let hr_int_cols =
+  [|
+    ("locations", [| "loc_id" |]);
+    ("departments", [| "dept_id"; "loc_id" |]);
+    ("employees", [| "emp_id"; "dept_id"; "mgr_id"; "salary"; "job_id" |]);
+    ("job_history", [| "emp_id"; "job_id"; "dept_id" |]);
+  |]
+
+(* One generated FROM entry: table, join role (semi/anti/outer entries
+   carry an ON condition on an earlier entry, hence a prerequisite),
+   a WHERE join to an earlier inner entry, and an optional filter. *)
+type gen_entry = {
+  g_table : int;
+  g_kind : A.jkind;
+  g_link : int * int * int;  (** earlier entry, its column, own column *)
+  g_filter : (int * int) option;  (** own column, lower bound *)
+}
+
+let gen_entries =
+  let open QCheck.Gen in
+  int_range 2 6 >>= fun n ->
+  list_repeat n
+    (quad (int_bound 3)
+       (frequencyl
+          [
+            (5, A.J_inner); (1, A.J_semi); (1, A.J_anti); (1, A.J_anti_na);
+            (1, A.J_left);
+          ])
+       (triple (int_bound 5) (int_bound 4) (int_bound 4))
+       (opt (pair (int_bound 4) (int_bound 5000))))
+  >|= List.mapi (fun i (g_table, kind, (j, cj, ci), g_filter) ->
+          {
+            g_table;
+            g_kind = (if i = 0 then A.J_inner else kind);
+            g_link = (j mod max 1 i, cj, ci);
+            g_filter;
+          })
+
+let print_entries es =
+  String.concat ", "
+    (List.mapi
+       (fun i e ->
+         let kind =
+           match e.g_kind with
+           | A.J_inner -> "inner"
+           | A.J_semi -> "semi"
+           | A.J_anti -> "anti"
+           | A.J_anti_na -> "anti-na"
+           | A.J_left -> "left"
+         in
+         let j, _, _ = e.g_link in
+         Printf.sprintf "t%d:%s %s->t%d%s" i (fst hr_int_cols.(e.g_table)) kind
+           j
+           (if e.g_filter = None then "" else " filtered"))
+       es)
+
+(* The DP's inputs for a generated block, built the way
+   [Block_cost.optimize_block_core] builds them for base tables. *)
+let dp_inputs t (es : gen_entry list) =
+  let alias i = Printf.sprintf "t%d" i in
+  let col_of i k =
+    let cols = snd hr_int_cols.((List.nth es i).g_table) in
+    c (alias i) cols.(k mod Array.length cols)
+  in
+  let local = Sset.of_list (List.mapi (fun i _ -> alias i) es) in
+  let infos =
+    List.mapi
+      (fun i e ->
+        Ctx.table_info t ~table:(fst hr_int_cols.(e.g_table)) ~alias:(alias i))
+      es
+  in
+  let env = Ctx.merge_env (Cost.Info.empty :: infos) in
+  let join_preds =
+    List.concat
+      (List.mapi
+         (fun i e ->
+           let j, cj, ci = e.g_link in
+           if i > 0 && e.g_kind = A.J_inner
+              && (List.nth es j).g_kind = A.J_inner
+           then [ col_of i ci =% col_of j cj ]
+           else [])
+         es)
+  in
+  let entries =
+    List.mapi
+      (fun i e ->
+        let j, cj, ci = e.g_link in
+        let cond =
+          if e.g_kind = A.J_inner then [] else [ col_of i ci =% col_of j cj ]
+        in
+        let singles =
+          match e.g_filter with
+          | Some (k, lo) -> [ col_of i k >% A.Const (V.Int lo) ]
+          | None -> []
+        in
+        let info = List.nth infos i in
+        {
+          Ap.e_idx = i;
+          e_alias = alias i;
+          e_kind = e.g_kind;
+          e_cond = cond;
+          e_source = Ap.E_table (fst hr_int_cols.(e.g_table));
+          e_info = info;
+          e_rows = info.Cost.Info.ri_rows;
+          e_single = singles;
+          e_single_sel = Cost.Selectivity.conj_sel env singles;
+          e_prereq =
+            (if e.g_kind = A.J_inner then Sset.empty
+             else Sset.singleton (alias j));
+        })
+      es
+  in
+  (local, env, join_preds, Array.of_list entries)
+
+(* Every admissible left-deep order, each step keeping the cheapest
+   join method, built from the same [initial_partial]/[extend] the DP
+   uses. Returns the cheapest final cost and whether every subset got
+   one row estimate whatever order joined it. *)
+let brute_force t ~local ~env ~join_preds (entries : Ap.entry array) =
+  let outer = Cost.Info.empty in
+  let best = ref infinity in
+  let rows : (int, float) Hashtbl.t = Hashtbl.create 64 in
+  let rows_agree = ref true in
+  let seen (p : Ap.partial) =
+    match Hashtbl.find_opt rows p.Ap.p_set with
+    | Some r ->
+        if Float.abs (r -. p.Ap.p_rows) > 1e-9 *. Float.max 1. r then
+          rows_agree := false
+    | None -> Hashtbl.replace rows p.Ap.p_set p.Ap.p_rows
+  in
+  let rec walk (lp : Ap.partial) remaining =
+    seen lp;
+    if remaining = [] then best := Float.min !best lp.Ap.p_cost
+    else
+      List.iter
+        (fun (e : Ap.entry) ->
+          if Ap.can_follow e lp.Ap.p_aliases then
+            match Ap.extend t ~env ~local ~join_preds lp e with
+            | [] -> ()
+            | p :: ps ->
+                let cheapest =
+                  List.fold_left
+                    (fun (a : Ap.partial) (b : Ap.partial) ->
+                      if b.Ap.p_cost < a.Ap.p_cost then b else a)
+                    p ps
+                in
+                walk cheapest (List.filter (fun x -> x != e) remaining))
+        remaining
+  in
+  let all = Array.to_list entries in
+  List.iter
+    (fun e ->
+      if Ap.can_start e then
+        walk (Ap.initial_partial t ~outer ~env ~local e)
+          (List.filter (fun x -> x != e) all))
+    all;
+  (!best, !rows_agree)
+
+(* The join enumeration before each round was limited to the subsets
+   of its own size: every round re-extends every entry of the table.
+   Kept as the reference the one-extension-per-subset loop must match
+   plan for plan. *)
+let dp_join_every_round t ~outer ~env ~local ~(entries : Ap.entry array)
+    ~join_preds =
+  let n = Array.length entries in
+  let best : (int, Ap.partial) Hashtbl.t = Hashtbl.create 64 in
+  let consider (p : Ap.partial) =
+    match Hashtbl.find_opt best p.Ap.p_set with
+    | Some q when q.Ap.p_cost <= p.Ap.p_cost -> ()
+    | _ -> Hashtbl.replace best p.Ap.p_set p
+  in
+  Array.iter
+    (fun e ->
+      if Ap.can_start e then
+        consider (Ap.initial_partial t ~outer ~env ~local e))
+    entries;
+  for _size = 1 to n - 1 do
+    let snapshot = Hashtbl.fold (fun k v acc -> (k, v) :: acc) best [] in
+    List.iter
+      (fun (set, lp) ->
+        Array.iter
+          (fun (e : Ap.entry) ->
+            if set land Ap.bit e.Ap.e_idx = 0 && Ap.can_follow e lp.Ap.p_aliases
+            then List.iter consider (Ap.extend t ~env ~local ~join_preds lp e))
+          entries)
+      snapshot
+  done;
+  Hashtbl.find best ((1 lsl n) - 1)
+
+let gen_block = QCheck.make ~print:print_entries gen_entries
+
+let run_dp es =
+  let t = Ctx.create (Lazy.force db).Storage.Db.cat in
+  let local, env, join_preds, entries = dp_inputs t es in
+  let dp =
+    Planner.Join_enum.dp_join t ~outer:Cost.Info.empty ~env ~local ~entries
+      ~join_preds
+  in
+  (t, local, env, join_preds, entries, dp)
+
+(* Best-per-subset DP is exact when a subset's row estimate does not
+   depend on its join order. Outer joins ([max] of input and join
+   rows) and the half-row floor on estimates break that; there the DP
+   may miss the cheapest order but can never beat it. *)
+let prop_dp_equals_brute_force =
+  QCheck.Test.make ~count:150 ~name:"dp_join = brute force over orders"
+    gen_block (fun es ->
+      let t, local, env, join_preds, entries, dp = run_dp es in
+      let bf, rows_agree = brute_force t ~local ~env ~join_preds entries in
+      let d = dp.Ap.p_cost and tol = 1e-9 *. Float.max 1. (Float.abs bf) in
+      if rows_agree && Float.abs (d -. bf) > tol then
+        QCheck.Test.fail_reportf "dp cost %.17g, brute force %.17g" d bf;
+      if d < bf -. tol then
+        QCheck.Test.fail_reportf "dp cost %.17g beats brute force %.17g" d bf;
+      true)
+
+let prop_dp_equals_every_round =
+  QCheck.Test.make ~count:150 ~name:"dp_join = every-round reference"
+    gen_block (fun es ->
+      let t, local, env, join_preds, entries, dp = run_dp es in
+      let r =
+        dp_join_every_round t ~outer:Cost.Info.empty ~env ~local ~entries
+          ~join_preds
+      in
+      if
+        dp.Ap.p_cost <> r.Ap.p_cost
+        || Plan.fingerprint dp.Ap.p_plan <> Plan.fingerprint r.Ap.p_plan
+      then
+        QCheck.Test.fail_reportf "dp %.17g %s, reference %.17g %s"
+          dp.Ap.p_cost (Plan.to_string dp.Ap.p_plan) r.Ap.p_cost
+          (Plan.to_string r.Ap.p_plan);
+      true)
+
 let () =
   Alcotest.run "planner"
     [
@@ -598,4 +840,7 @@ let () =
             test_greedy_join_many_tables;
           Alcotest.test_case "cost cut-off" `Quick test_cost_cap_aborts;
         ] );
+      ( "join enumeration",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_dp_equals_brute_force; prop_dp_equals_every_round ] );
     ]

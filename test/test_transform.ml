@@ -730,6 +730,96 @@ let test_spj_merge_single_table_semi () =
   | _ -> Alcotest.fail "expected block");
   check_equiv ~msg:"single-table semi merge" q q'
 
+(* The fixpoint of predicate move-around as it was decided before: by
+   comparing the printed forms of a round's input and output. *)
+let predicate_move_printed_reference (q : A.query) : A.query =
+  let module PM = Transform.Predicate_move in
+  let round q =
+    Transform.Tx.map_blocks_bottom_up
+      (fun b ->
+        let extra = PM.transitive_preds b in
+        let b =
+          if extra = [] then b else { b with A.where = b.A.where @ extra }
+        in
+        PM.push_block b)
+      q
+  in
+  let rec fix n q =
+    if n = 0 then q
+    else
+      let q' = round q in
+      if Pp.fingerprint q' = Pp.fingerprint q then q else fix (n - 1) q'
+  in
+  fix 4 q
+
+let all_classes =
+  Workload.Query_gen.
+    [
+      C_spj; C_exists; C_not_exists; C_in_multi; C_not_in; C_agg_subq;
+      C_gb_view; C_distinct_view; C_union_factor; C_gbp; C_or; C_setop;
+      C_pullup;
+    ]
+
+(* The generator filters only non-join columns of base tables, which
+   gives predicate move-around nothing to do. Add, in every top-level
+   block, a constant filter on each equi-join column (transitive
+   generation) and on the first output of each view (pushdown). *)
+let rec with_move_candidates (q : A.query) : A.query =
+  match q with
+  | A.Setop (op, l, r) ->
+      A.Setop (op, with_move_candidates l, with_move_candidates r)
+  | A.Block b ->
+      let k = A.Const (V.Int 7) in
+      let on_join_cols =
+        List.filter_map
+          (function
+            | A.Cmp (A.Eq, (A.Col _ as a), A.Col _) -> Some (A.Cmp (A.Gt, a, k))
+            | _ -> None)
+          b.A.where
+      in
+      let on_views =
+        List.filter_map
+          (fun fe ->
+            match fe.A.fe_source with
+            | A.S_view v when fe.A.fe_kind = A.J_inner -> (
+                match A.query_select_names v with
+                | name :: _ -> Some (A.Cmp (A.Gt, c fe.A.fe_alias name, k))
+                | [] -> None)
+            | _ -> None)
+          b.A.from
+      in
+      A.Block { b with A.where = b.A.where @ on_join_cols @ on_views }
+
+(* every generated class at 12 seeds, as generated, after the heuristic
+   steps that run before predicate move-around in [Cbqt.Driver], and both
+   with added move candidates *)
+let test_predicate_move_fixpoint_reference () =
+  let module QG = Workload.Query_gen in
+  let db, schema =
+    Workload.Schema_gen.build ~families:2 ~row_scale:0.05 ~seed:2006 ()
+  in
+  let cat = db.Storage.Db.cat in
+  let moved = ref 0 in
+  List.iter
+    (fun cls ->
+      for seed = 1 to 12 do
+        let q = QG.generate (QG.create ~seed schema) cls in
+        let pre =
+          Transform.Join_elim.apply cat (Transform.View_merge_spj.apply cat q)
+        in
+        List.iter
+          (fun q ->
+            let got = Transform.Predicate_move.apply cat q in
+            let want = predicate_move_printed_reference q in
+            if got != q then incr moved;
+            Alcotest.(check string)
+              (Printf.sprintf "%s seed %d" (QG.class_name cls) seed)
+              (Pp.query_to_string want) (Pp.query_to_string got))
+          [ q; pre; with_move_candidates q; with_move_candidates pre ]
+      done)
+    all_classes;
+  Alcotest.(check bool) "some queries had predicates moved" true (!moved > 0)
+
 let () =
   Alcotest.run "transform"
     [
@@ -810,6 +900,8 @@ let () =
             test_predicate_not_pushed_through_window_oby;
           Alcotest.test_case "transitive" `Quick test_transitive_predicates;
           Alcotest.test_case "group pruning" `Quick test_group_prune;
+          Alcotest.test_case "fixpoint reference" `Quick
+            test_predicate_move_fixpoint_reference;
         ] );
       ( "spj-view-merge",
         [
