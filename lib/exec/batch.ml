@@ -60,6 +60,24 @@ module Vec = struct
     v.vdata.(v.vlen) <- r;
     v.vlen <- v.vlen + 1
 
+  (** Make room for [n] rows in all: one growth, to at least double the
+      capacity, so repeated reserves stay amortized. *)
+  let reserve v n =
+    if n > Array.length v.vdata then begin
+      let grown = Array.make (max n (2 * Array.length v.vdata)) [||] in
+      Array.blit v.vdata 0 grown 0 v.vlen;
+      v.vdata <- grown
+    end
+
+  (** Append rows [data.(0) .. data.(len - 1)] to [v]. *)
+  let blit_in v data len =
+    reserve v (v.vlen + len);
+    Array.blit data 0 v.vdata v.vlen len;
+    v.vlen <- v.vlen + len
+
+  (** Append every row of [src] to [v]. *)
+  let append v src = blit_in v src.vdata src.vlen
+
   (** Keep only the first [n] rows (no-op when already shorter). *)
   let truncate v n = if n < v.vlen then v.vlen <- n
 

@@ -214,6 +214,27 @@ let scan_slices (ctx : ctx) (p : Plan.t) :
           Array.of_list (List.map (Relation.part_bounds rel) surv) )
   | _ -> invalid_arg "Cursor.scan_slices: not a table or partition scan"
 
+(** Split join conjuncts into the equi-conjuncts usable as hash or merge
+    keys — (left expr, right expr) pairs, in conjunct order — and the
+    residual conjuncts, by the aliases each side of an equality reads
+    from the [left] and [right] input layouts. *)
+let equi_split (left : layout) (right : layout) (cond : A.pred list) :
+    (A.expr * A.expr) list * A.pred list =
+  let module S = Walk.Sset in
+  let aliases l = Array.fold_left (fun s (a, _) -> S.add a s) S.empty l in
+  let la = aliases left and ra = aliases right in
+  List.fold_left
+    (fun (keys, residual) c ->
+      match c with
+      | A.Cmp (A.Eq, a, b) ->
+          let aa = Walk.expr_aliases a and ab = Walk.expr_aliases b in
+          if S.subset aa la && S.subset ab ra then (keys @ [ (a, b) ], residual)
+          else if S.subset ab la && S.subset aa ra then
+            (keys @ [ (b, a) ], residual)
+          else (keys, residual @ [ c ])
+      | _ -> (keys, residual @ [ c ]))
+    ([], []) cond
+
 let charge_sort ctx n =
   if n > 1 then
     ctx.meter.Meter.sort_compares <-
@@ -345,7 +366,7 @@ let drain (c : cursor) (orows : row list) : Vec.t =
     match c.c_next () with
     | Some b ->
         observe_batch_fill b;
-        B.iter (Vec.push v) b;
+        Vec.blit_in v b.B.data b.B.len;
         go ()
     | None -> ()
   in
@@ -373,6 +394,9 @@ let streaming ?(on_open = fun (_ : row list) -> ()) ~size (child : cursor)
     | None -> if Vec.length out = 0 then None else Some (Vec.to_batch out)
     | Some b ->
         let orows = !orows_r in
+        (* at most one output row per input row: one growth, not a
+           doubling series, when a view batch outgrows the buffer *)
+        Vec.reserve out (Vec.length out + b.B.len);
         B.iter (fun r -> step orows r out) b;
         if Vec.length out > 0 then Some (Vec.to_batch out) else fill ()
   in

@@ -13,11 +13,13 @@
 
     At every pipeline that fits the columnar grammar (table or
     partition scan → filters → optional projection, or aggregation
-    with at most one group key), inside exchange tasks too, [prepare]
-    first offers the node to {!Vector.try_root}: under the [Auto]
-    engine the choice is cost-driven — the planner's cardinality
-    estimate for the pipeline's source scan (threaded through
-    {!Cursor.ctx.card_of}) must reach [vector_threshold] — while
+    with at most one group key; or an inner one-key hash join of two
+    such scan chains, optionally projected), inside exchange tasks
+    too, [prepare] first offers the node to {!Vector.try_root}: under
+    the [Auto] engine the choice is cost-driven — the planner's
+    cardinality estimate for the pipeline's source scan (a join's
+    probe scan; threaded through {!Cursor.ctx.card_of}) must reach
+    [vector_threshold] — while
     [Row]/[Vector] force one path for differential testing and
     benchmarking. Vectorized pipelines
     process segments through typed column vectors and a selection
@@ -875,24 +877,6 @@ and prepare_node (ctx : ctx) (scopes : layout list) (p : Plan.t) : cursor =
 (* Joins                                                             *)
 (* --------------------------------------------------------------- *)
 
-(* Split join conjuncts into equi-conjuncts usable as hash/merge keys
-   (left expr, right expr) and residual conjuncts. *)
-and equi_split left_aliases right_aliases cond =
-  let module S = Walk.Sset in
-  let aliases_of e = Walk.expr_aliases e in
-  List.fold_left
-    (fun (keys, residual) c ->
-      match c with
-      | A.Cmp (A.Eq, a, b) ->
-          let aa = aliases_of a and ab = aliases_of b in
-          if S.subset aa left_aliases && S.subset ab right_aliases then
-            (keys @ [ (a, b) ], residual)
-          else if S.subset ab left_aliases && S.subset aa right_aliases then
-            (keys @ [ (b, a) ], residual)
-          else (keys, residual @ [ c ])
-      | _ -> (keys, residual @ [ c ]))
-    ([], []) cond
-
 and prepare_join ctx scopes ~meth ~role ~left ~right ~cond =
   let cat = ctx.db.Db.cat in
   let meter = ctx.meter in
@@ -918,12 +902,7 @@ and prepare_join ctx scopes ~meth ~role ~left ~right ~cond =
   (* hash and merge joins: equi-conjuncts become the keys, the rest the
      residual candidate test *)
   let equi what =
-    let aliases l =
-      Array.fold_left (fun s (a, _) -> Walk.Sset.add a s) Walk.Sset.empty l
-    in
-    let keys, residual =
-      equi_split (aliases left_layout) (aliases right_layout) cond
-    in
+    let keys, residual = equi_split left_layout right_layout cond in
     if keys = [] then
       invalid_arg
         (Printf.sprintf "Executor: %s join requires at least one equi-conjunct"
@@ -1490,7 +1469,13 @@ and prepare_exchange ctx scopes child dop =
                 let c, _, _, _ = prepared.(k) in
                 drain c orows)
           in
-          let out = Vec.create () in
+          (* one merged vector, sized once, each task's rows blitted in
+             task order *)
+          let out =
+            Vec.create
+              ~cap:(List.fold_left (fun n (_, v) -> n + Vec.length v) 0 results)
+              ()
+          in
           List.iter
             (fun (k, rows) ->
               let _, m, tbl, es = prepared.(k) in
@@ -1508,7 +1493,7 @@ and prepare_exchange ctx scopes child dop =
                       dst.ns_sel_in <- dst.ns_sel_in + st.ns_sel_in)
                     sub
               | _ -> ());
-              Vec.iter (Vec.push out) rows)
+              Vec.append out rows)
             results;
           out)
 
@@ -1612,10 +1597,22 @@ let default_batch_size = 256
     is lower than a chain's segment setup. *)
 let default_vector_threshold = 256.
 
+(* The root's rows as a list, consed once from the back: each batch is
+   copied out (its container is reused) and the chunks are unrolled
+   last to first. *)
 let run_root (ctx : ctx) (plan : Plan.t) : row list =
-  let acc = ref [] in
-  iter_rows (prepare ctx [] plan) [] (fun r -> acc := r :: !acc);
-  List.rev !acc
+  let c = prepare ctx [] plan in
+  c.c_open [];
+  let rec chunks acc =
+    match c.c_next () with
+    | Some b ->
+        observe_batch_fill b;
+        chunks (if b.B.len = 0 then acc else Array.sub b.B.data 0 b.B.len :: acc)
+    | None -> acc
+  in
+  let cs = chunks [] in
+  c.c_close ();
+  List.fold_left (fun l ch -> Array.fold_right (fun r l -> r :: l) ch l) [] cs
 
 (** Execute a complete (uncorrelated) plan against [db]. Returns the
     output layout and rows; work is charged to [meter]. [batch_size]

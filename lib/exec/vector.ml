@@ -1,52 +1,75 @@
 (** Vectorized (columnar) pipeline engine.
 
     Executes pipeline chains — a table or partition scan, the filters
-    above it, and an optional projection or aggregation root — over
-    the relation-owned column images of {!Colbatch}: each [c_next]
-    processes one segment of the scanned rows through a selection
-    vector, applying every predicate conjunct as a tight monomorphic
-    loop over its column vector (or, for predicates the typed loops
-    cannot express, over the rows themselves), then materializes the
-    surviving selection at the pipeline edge — for identity pipelines
-    by handing out the original row pointers, allocation-free.
+    above it, and an optional projection or aggregation root — and
+    inner hash joins of two such chains, over the relation-owned column
+    images of {!Colbatch}: each [c_next] processes one segment of the
+    scanned rows through a selection vector, applying every predicate
+    conjunct as a tight monomorphic loop over its column vector (or,
+    for predicates the typed loops cannot express, over the rows
+    themselves), then materializes the surviving selection at the
+    pipeline edge — for identity pipelines by handing out the original
+    row pointers, allocation-free.
 
-    {b Grammar v2.} The source is a [Table_scan] or a [Part_scan]; a
-    partition scan reads its surviving slices, honours an exchange
-    task's [restrict], and charges its pages through the one slice
-    function the row engine's scan leaf uses ({!Cursor.scan_slices}).
-    The root is a projection, or a non-DISTINCT [Aggregate] or
-    [Partial_agg] that is keyless or has one group key. A keyless
-    aggregation is one group even on empty input, so a keyless
-    [Partial_agg] task emits one state row. Grouped aggregation assigns
-    group ids in first-seen order under {!Cursor.Hval}'s equality,
-    with typed hash tables for monomorphic int (and date) and string
-    key columns — NULL is one group of its own — and a [Value.t] table
-    otherwise; typed int and float aggregate arguments accumulate
-    unboxed per group. Everything outside the grammar (joins,
-    multi-key grouping, sorts, set operators, index scans) stays on the
-    row path of {!Executor}; the conversion happens only at pipeline
-    edges, where breakers materialize rows anyway. Exchange tasks run
-    these chains on helper domains: a chain's mutable state is its own,
-    and the images it reads are immutable and shared.
+    {b Grammar.} A {e chain} is [Filter* · Scan], the scan a
+    [Table_scan] or a [Part_scan]; a partition scan reads its surviving
+    slices, honours an exchange task's [restrict], and charges its
+    pages through the one slice function the row engine's scan leaf
+    uses ({!Cursor.scan_slices}). A vectorized root is one of:
+    - a chain, alone or under a projection, or under a non-DISTINCT
+      [Aggregate] or [Partial_agg] that is keyless or has one group key.
+      A keyless aggregation is one group even on empty input, so a
+      keyless [Partial_agg] task emits one state row. Grouped
+      aggregation assigns group ids in first-seen order under
+      {!Cursor.Hval}'s equality, with typed tables for monomorphic int
+      (and date) and string key columns — NULL is one group of its own
+      — and a [Value.t] table otherwise; typed int and float aggregate
+      arguments accumulate unboxed per group;
+    - an inner [Hash] join of two chains on exactly one equi-key with
+      no residual conjunct, alone or under a projection, whose columns
+      are then read straight from the two base rows. The build side is
+      [right], as in the row engine. Its keys get group ids through the
+      same key tables (a [Value.t] table when the two key images differ
+      in type), and its rows are laid out per group in one array sized
+      per execution; a probe reads the left chain's key image and walks
+      its group's slice, copying nothing. Each probe row's candidates
+      come in the row engine's reverse build order, so rows match
+      exactly, in the same order. A NULL key is charged and never
+      matches.
+    Everything else (other joins, multi-key grouping, sorts, set
+    operators, index scans) stays on the row path of {!Executor}; the
+    conversion happens only at pipeline edges, where breakers
+    materialize rows anyway. Exchange tasks run these roots on helper
+    domains: a root's mutable state — a join's build table too — is its
+    own and lives for one execution, and the images it reads are
+    immutable and shared.
 
     {b Meter parity is exact.} Charges are accounted field by field as
     the row engine does: [pages_read] per open, [rows_scanned] per
     segment row, [rows_out] per operator per surviving row, [agg_rows]
-    per aggregated row, sort charges for sort-strategy aggregation —
-    and conjuncts are applied in original order, one selection
-    refinement per conjunct, so generic (possibly expensive) predicates
-    are evaluated on exactly the rows that survive the preceding
-    conjuncts, preserving short-circuit [expensive_calls] counts. The
-    test suite runs forced-engine differential comparisons (vector vs
-    row vs {!Baseline}) on randomized plans and on exchange plans to
-    hold this.
+    per aggregated row, sort charges for sort-strategy aggregation,
+    [hash_build] per build row, [hash_probe] per probe row and
+    [rows_joined] per candidate — and conjuncts are applied in original
+    order, one selection refinement per conjunct, so generic (possibly
+    expensive) predicates are evaluated on exactly the rows that
+    survive the preceding conjuncts, preserving short-circuit
+    [expensive_calls] counts. Analyze mode records the same per-node
+    calls, rows and meter as the row engine's wrappers would, for the
+    interior nodes of a root too (a join's two chains, and the join
+    itself under a projection). The test suite runs forced-engine
+    differential comparisons (vector vs row vs {!Baseline}) on
+    randomized plans and on exchange plans to hold this.
 
     The engine choice is hybrid and cost-driven: {!try_root} consults
     the planner's estimated pipeline cardinality (threaded through
-    {!Cursor.ctx.card_of}) and vectorizes only pipelines whose source
-    scan is estimated above {!Cursor.ctx.vector_threshold}; tiny
-    pipelines — nested-loop inner sides, subquery plans over small
-    tables — keep the row path's lower per-execution constant. *)
+    {!Cursor.ctx.card_of}) and vectorizes only roots whose source scan
+    — for a join, the probe chain's — is estimated above
+    {!Cursor.ctx.vector_threshold}; tiny pipelines — nested-loop inner
+    sides, subquery plans over small tables — keep the row path's lower
+    per-execution constant. A vectorized root counts one vector
+    dispatch per source chain (a join counts two), as the row path
+    counts one per scan, so dispatch counts and vector shares stay
+    comparable across engines. *)
 
 open Sqlir
 module A = Ast
@@ -350,12 +373,11 @@ let rec pipe_of (p : Plan.t) =
         (pipe_of child)
   | _ -> None
 
-(** The vectorizable grammar, v2:
+(** The chain grammar:
     [(Project | Aggregate | Partial_agg)? · Filter* · Scan], where the
     scan is a [Table_scan] or a [Part_scan] and the aggregation is
-    non-DISTINCT with at most one group key. Index scans, joins,
-    multi-key grouping and all breakers stay on the row path,
-    converting at the pipeline edge. *)
+    non-DISTINCT with at most one group key. Joins have their own
+    grammar ({!join_of}). *)
 let chain_of (p : Plan.t) : chain_desc option =
   let mk child root =
     Option.map
@@ -401,13 +423,66 @@ let chain_of (p : Plan.t) : chain_desc option =
 (* ------------------------------------------------------------------ *)
 
 (* Typed group tables: the equality of [Hval] (and so of the row
-   engine's [Hkey]) on a monomorphic int or string column. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
+   engine's [Hkey]) on a monomorphic int or string column. Int keys map
+   to non-negative ids by open addressing over two flat arrays —
+   linear probing, a free slot's id is -1 — so neither an insert nor a
+   missed lookup allocates or raises. *)
+module Itbl = struct
+  type t = {
+    mutable keys : int array;
+    mutable ids : int array;
+    mutable count : int;
+    initial : int;
+  }
 
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
+  let slots n =
+    let rec up c = if c >= 2 * n then c else up (2 * c) in
+    up 16
+
+  let create n =
+    let c = slots n in
+    { keys = Array.make c 0; ids = Array.make c (-1); count = 0; initial = c }
+
+  (* back to the initial capacity, as [Hashtbl.reset] *)
+  let reset t =
+    if Array.length t.ids = t.initial then Array.fill t.ids 0 t.initial (-1)
+    else begin
+      t.keys <- Array.make t.initial 0;
+      t.ids <- Array.make t.initial (-1)
+    end;
+    t.count <- 0
+
+  let slot t k =
+    let ids = t.ids and keys = t.keys in
+    let mask = Array.length ids - 1 in
+    let h = k * 0x9E3779B97F4A7C1 in
+    let i = ref ((h lxor (h lsr 32)) land mask) in
+    while Array.unsafe_get ids !i >= 0 && Array.unsafe_get keys !i <> k do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  (** The id of [k], or -1. *)
+  let find t k = Array.unsafe_get t.ids (slot t k)
+
+  (** Map [k], absent, to [g >= 0]; at half full the table doubles. *)
+  let rec add t k g =
+    if 2 * (t.count + 1) > Array.length t.ids then begin
+      let keys = t.keys and ids = t.ids in
+      let c = 2 * Array.length ids in
+      t.keys <- Array.make c 0;
+      t.ids <- Array.make c (-1);
+      t.count <- 0;
+      Array.iteri (fun i g -> if g >= 0 then add t (Array.unsafe_get keys i) g) ids;
+      add t k g
+    end
+    else begin
+      let i = slot t k in
+      Array.unsafe_set t.keys i k;
+      Array.unsafe_set t.ids i g;
+      t.count <- t.count + 1
+    end
+end
 
 module Stbl = Hashtbl.Make (struct
   type t = string
@@ -440,14 +515,104 @@ let value_of (im : img) orows = function
       let base = im.base in
       fun i -> f (Array.unsafe_get base i) orows
 
-(* The group key bound to an image: typed fast paths for monomorphic
-   int (and date) and string columns, with NULL as one group of its
-   own; everything else hashes [Value.t]s. *)
+(* A key bound to an image: typed fast paths for monomorphic int (and
+   date) and string columns, whose NULLs the bitmap marks; everything
+   else hashes [Value.t]s. *)
+type ikind = I_int | I_date
+
 type keyer =
   | KB_none  (** keyless: every row is in group 0 *)
-  | KB_int of int array * Bytes.t * (int -> Value.t)
+  | KB_int of int array * Bytes.t * ikind
   | KB_str of string array * Bytes.t
   | KB_gen of (int -> Value.t)
+
+let keyer_of (im : img) orows (s : src) : keyer =
+  match s with
+  | S_col j -> (
+      let c = im.col j in
+      match c.C.c_vec with
+      | C.V_int a -> KB_int (a, c.C.c_nulls, I_int)
+      | C.V_date a -> KB_int (a, c.C.c_nulls, I_date)
+      | C.V_str a -> KB_str (a, c.C.c_nulls)
+      | _ -> KB_gen (value_of im orows s))
+  | S_fun _ -> KB_gen (value_of im orows s)
+
+(* The key tables behind group ids: one per keyer kind, each with the
+   equality of [Hval] (and so of the row engine's [Hkey]) on its
+   keys. *)
+type gtbl = { itbl : Itbl.t; stbl : int Stbl.t; vtbl : int Hval.t }
+
+(* Tables for [n] keys of [keyer]'s kind, the others minimal *)
+let gtbl_create keyer n =
+  let ni, ns, nv =
+    match keyer with
+    | KB_int _ -> (n, 1, 1)
+    | KB_str _ -> (1, n, 1)
+    | KB_gen _ -> (1, 1, n)
+    | KB_none -> (1, 1, 1)
+  in
+  { itbl = Itbl.create ni; stbl = Stbl.create ns; vtbl = Hval.create nv }
+
+let gtbl_reset gt =
+  Itbl.reset gt.itbl;
+  Stbl.reset gt.stbl;
+  Hval.reset gt.vtbl
+
+(* Group id of every selected row [sel.(0 .. n-1)] into [gids]: a key
+   already in [gt] keeps its group, a new one gets [fresh key] — stored
+   unless negative — and a NULL key gets [null ()]. Keyless, [gids] is
+   left alone. Aggregation makes a group of every new key, NULL
+   included; a join build makes one of every non-NULL key, and its
+   probe looks keys up with [fresh] and [null] both -1. *)
+let assign gt keyer ~null ~fresh n (sel : int array) (gids : int array) =
+  match keyer with
+  | KB_none -> ()
+  | KB_int (a, nulls, kind) ->
+      let t = gt.itbl in
+      for s = 0 to n - 1 do
+        let i = Array.unsafe_get sel s in
+        Array.unsafe_set gids s
+          (if C.bitmap_get nulls i then null ()
+           else
+             let k = Array.unsafe_get a i in
+             let g = Itbl.find t k in
+             if g >= 0 then g
+             else
+               let g =
+                 fresh (match kind with I_int -> Value.Int k | I_date -> Value.Date k)
+               in
+               if g >= 0 then Itbl.add t k g;
+               g)
+      done
+  | KB_str (a, nulls) ->
+      let t = gt.stbl in
+      for s = 0 to n - 1 do
+        let i = Array.unsafe_get sel s in
+        Array.unsafe_set gids s
+          (if C.bitmap_get nulls i then null ()
+           else
+             let k = Array.unsafe_get a i in
+             match Stbl.find_opt t k with
+             | Some g -> g
+             | None ->
+                 let g = fresh (Value.Str k) in
+                 if g >= 0 then Stbl.add t k g;
+                 g)
+      done
+  | KB_gen f ->
+      let t = gt.vtbl in
+      for s = 0 to n - 1 do
+        let kv = f (Array.unsafe_get sel s) in
+        Array.unsafe_set gids s
+          (if Value.is_null kv then null ()
+           else
+             match Hval.find_opt t kv with
+             | Some g -> g
+             | None ->
+                 let g = fresh kv in
+                 if g >= 0 then Hval.add t kv g;
+                 g)
+      done
 
 (* Per-group state of one aggregate, indexed by group id. Typed runs
    keep unboxed running state; [G_gen] goes through the shared generic
@@ -603,7 +768,8 @@ let run_acc g = function
 
 (* One chain node (the scan or a filter above it): its conjuncts and,
    in analyze mode, its stat record. [sg_charge] is false for the
-   pipeline root, which the executor's standard wrapper charges. *)
+   pipeline root, which the executor's standard wrapper charges — but
+   not for the top of a join input, which no wrapper sees. *)
 type stage = {
   sg_preds : pconj array;
   mutable sg_conjs : conj array;  (* rebound per row array *)
@@ -619,13 +785,15 @@ type chain = {
   ch_orows : row list ref;
   ch_step : unit -> bool;  (** advance one segment; false at exhaustion *)
   ch_open : row list -> unit;
+  ch_span : unit -> int;  (** rows in this open's slices: a bound on output *)
   ch_close : unit -> unit;
   ch_root_stat : node_stat option;
       (** analyze record of a non-[R_pipe] root (a pipe root's is its
           last stage's) *)
 }
 
-let chain (ctx : ctx) (scopes : layout list) (cd : chain_desc) : chain =
+let chain ?(inner = false) (ctx : ctx) (scopes : layout list) (cd : chain_desc)
+    : chain =
   let meter = ctx.meter in
   let binds = ctx.binds in
   let rel = Db.relation ctx.db cd.cd_table in
@@ -649,7 +817,7 @@ let chain (ctx : ctx) (scopes : layout list) (cd : chain_desc) : chain =
   let stages =
     List.mapi
       (fun k (p, preds) ->
-        let is_root = is_pipe && k = n_nodes - 1 in
+        let is_root = is_pipe && (not inner) && k = n_nodes - 1 in
         {
           sg_preds =
             Array.of_list
@@ -664,7 +832,7 @@ let chain (ctx : ctx) (scopes : layout list) (cd : chain_desc) : chain =
   (* per-open chain state: the image, the slices still to read *)
   let im = ref { base = [||]; col = (fun _ -> assert false) } in
   let bound = ref false in
-  let slices = ref [||] and si = ref 0 and pos = ref 0 in
+  let slices = ref [||] and si = ref 0 and pos = ref 0 and span = ref 0 in
   let orows_r = ref [] in
   let rebind rows =
     if not (!bound && !im.base == rows) then begin
@@ -681,7 +849,8 @@ let chain (ctx : ctx) (scopes : layout list) (cd : chain_desc) : chain =
     rebind rows;
     slices := sl;
     si := 0;
-    pos := if Array.length sl > 0 then fst sl.(0) else 0
+    pos := if Array.length sl > 0 then fst sl.(0) else 0;
+    span := Array.fold_left (fun n (lo, hi) -> n + hi - lo) 0 sl
   in
   let open_chain orows =
     orows_r := orows;
@@ -765,6 +934,7 @@ let chain (ctx : ctx) (scopes : layout list) (cd : chain_desc) : chain =
     ch_orows = orows_r;
     ch_step = step;
     ch_open = open_chain;
+    ch_span = (fun () -> !span);
     ch_close = (fun () -> slices := [||]);
     ch_root_stat = root_stat;
   }
@@ -812,8 +982,9 @@ let agg_cursor (ctx : ctx) (ch : chain) ~key ~args ag : cursor =
   let meter = ctx.meter and seg = ctx.size and vb = ch.ch_vb in
   let gids = Array.make (max 1 seg) 0 in
   Meter.charge_vec_alloc (max 1 seg);
-  let itbl = Itbl.create 16 and stbl = Stbl.create 16 in
-  let vtbl = Hval.create 16 in
+  let gt =
+    { itbl = Itbl.create 16; stbl = Stbl.create 16; vtbl = Hval.create 16 }
+  in
   let null_gid = ref (-1) in
   let keyer = ref KB_none in
   let runs = ref [||] in
@@ -838,69 +1009,13 @@ let agg_cursor (ctx : ctx) (ch : chain) ~key ~args ag : cursor =
     if !null_gid < 0 then null_gid := new_group Value.Null;
     !null_gid
   in
-  (* group id of every selected row into [gids] *)
-  let assign n sel =
-    match !keyer with
-    | KB_none -> ()
-    | KB_int (a, nulls, wrap) ->
-        for s = 0 to n - 1 do
-          let i = Array.unsafe_get sel s in
-          Array.unsafe_set gids s
-            (if C.bitmap_get nulls i then null_group ()
-             else
-               let k = Array.unsafe_get a i in
-               match Itbl.find itbl k with
-               | g -> g
-               | exception Not_found ->
-                   let g = new_group (wrap k) in
-                   Itbl.add itbl k g;
-                   g)
-        done
-    | KB_str (a, nulls) ->
-        for s = 0 to n - 1 do
-          let i = Array.unsafe_get sel s in
-          Array.unsafe_set gids s
-            (if C.bitmap_get nulls i then null_group ()
-             else
-               let k = Array.unsafe_get a i in
-               match Stbl.find stbl k with
-               | g -> g
-               | exception Not_found ->
-                   let g = new_group (Value.Str k) in
-                   Stbl.add stbl k g;
-                   g)
-        done
-    | KB_gen f ->
-        for s = 0 to n - 1 do
-          let kv = f (Array.unsafe_get sel s) in
-          Array.unsafe_set gids s
-            (match Hval.find vtbl kv with
-            | g -> g
-            | exception Not_found ->
-                let g = new_group kv in
-                Hval.add vtbl kv g;
-                g)
-        done
-  in
   let emitted = ref false in
   let c_open orows =
     ch.ch_open orows;
     emitted := false;
     let i = !(ch.ch_img) in
-    keyer :=
-      (match key with
-      | None -> KB_none
-      | Some (S_col j as s) -> (
-          let c = i.col j in
-          match c.C.c_vec with
-          | C.V_int a -> KB_int (a, c.C.c_nulls, fun k -> Value.Int k)
-          | C.V_date a -> KB_int (a, c.C.c_nulls, fun k -> Value.Date k)
-          | C.V_str a -> KB_str (a, c.C.c_nulls)
-          | _ -> KB_gen (value_of i orows s))
-      | Some s -> KB_gen (value_of i orows s));
-    Itbl.reset itbl;
-    Stbl.reset stbl;
-    Hval.reset vtbl;
+    keyer := (match key with None -> KB_none | Some s -> keyer_of i orows s);
+    gtbl_reset gt;
     null_gid := -1;
     ng := 0;
     g_key := [||];
@@ -929,7 +1044,7 @@ let agg_cursor (ctx : ctx) (ch : chain) ~key ~args ag : cursor =
           for s = 0 to n - 1 do
             Array.unsafe_set sel s (vb.lo + s)
           done;
-        assign n sel;
+        assign gt !keyer ~null:null_group ~fresh:new_group n sel gids;
         let rows = !g_rows in
         for s = 0 to n - 1 do
           let g = Array.unsafe_get gids s in
@@ -990,6 +1105,287 @@ let build (ctx : ctx) (scopes : layout list) (cd : chain_desc) : cursor =
         ag
 
 (* ------------------------------------------------------------------ *)
+(* Hash join                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(** An inner hash join of two pipe chains on one equi-key, with no
+    residual conjunct, under an optional projection. As in the row
+    engine, [right] is the build side and [left] the probe side. *)
+type join_desc = {
+  jd_root : Plan.t;  (** the [Project], or the join itself *)
+  jd_plan : Plan.t;  (** the [Join] node *)
+  jd_probe : chain_desc;
+  jd_build : chain_desc;
+  jd_keys : A.expr * A.expr;  (** (probe key, build key) *)
+  jd_items : (A.expr * string) list option;  (** a [Project] root's items *)
+}
+
+let pipe_desc (p : Plan.t) =
+  match chain_of p with Some ({ cd_root = R_pipe; _ } as cd) -> Some cd | _ -> None
+
+(** The join grammar:
+    [Project? · HashJoin(Inner, one equi-key, no residual)] over two
+    [Filter* · Scan] chains. *)
+let join_of (cat : Catalog.t) (p : Plan.t) : join_desc option =
+  let join items = function
+    | Plan.Join { meth = Plan.Hash; role = Plan.Inner; left; right; cond } as j
+      -> (
+        match (pipe_desc left, pipe_desc right) with
+        | Some l, Some r -> (
+            match equi_split (Plan.layout left cat) (Plan.layout right cat) cond with
+            | [ keys ], [] ->
+                Some
+                  {
+                    jd_root = p;
+                    jd_plan = j;
+                    jd_probe = l;
+                    jd_build = r;
+                    jd_keys = keys;
+                    jd_items = items;
+                  }
+            | _ -> None)
+        | _ -> None)
+    | _ -> None
+  in
+  match p with
+  | Plan.Project { child; items; _ } -> join (Some items) child
+  | _ -> join None p
+
+(* The probe and build keys bound to their images: typed keyers of one
+   kind on both sides, or else both generic, so every comparison is
+   [Hval]'s whatever the two images' types. *)
+let key_pair (pim : img) (bim : img) orows ps bs =
+  match (keyer_of pim orows ps, keyer_of bim orows bs) with
+  | (KB_int (_, _, pk) as p), (KB_int (_, _, bk) as b) when pk = bk -> (p, b)
+  | (KB_str _ as p), (KB_str _ as b) -> (p, b)
+  | _ -> (KB_gen (value_of pim orows ps), KB_gen (value_of bim orows bs))
+
+(* A projected column of the join: read from the probe or the build
+   row, a constant, or computed over the combined row. *)
+type jitem =
+  | J_left of int
+  | J_right of int
+  | J_const of Value.t
+  | J_fun of (row list -> Value.t)
+
+(* The join's cursor. Per open: the build chain runs dry into an array
+   of selected row ids, the build keys get group ids in a key table
+   sized once for them, and the rows of each group are laid out
+   contiguously (CSR) in reverse build order — the order the row
+   engine's bucket lists yield. Per [c_next]: probe segments look their
+   keys up until one has candidates, then its output rows are made.
+   Charges [hash_build] per build row, [hash_probe] per probe row and
+   [rows_joined] per candidate, as [Executor.prepare_join]; NULL keys
+   are charged and never match. *)
+let join_cursor (ctx : ctx) (scopes : layout list) (jd : join_desc) : cursor =
+  let meter = ctx.meter and binds = ctx.binds and seg = max 1 ctx.size in
+  let cat = ctx.db.Db.cat in
+  let pl = Plan.layout jd.jd_probe.cd_scan cat
+  and bl = Plan.layout jd.jd_build.cd_scan cat in
+  let probe = chain ~inner:true ctx scopes jd.jd_probe in
+  let build = chain ~inner:true ctx scopes jd.jd_build in
+  let pkey = compile_src ~meter ~binds pl scopes (fst jd.jd_keys) in
+  let bkey = compile_src ~meter ~binds bl scopes (snd jd.jd_keys) in
+  let stat_of p =
+    Option.map
+      (fun tbl ->
+        let st = node_stat_of tbl p in
+        st.ns_engine <- "vector";
+        st)
+      ctx.analyze
+  in
+  (* under a projection the join node is below the wrapped root: it
+     charges its own [rows_out] and, in analyze mode, its own stats *)
+  let own = Option.is_some jd.jd_items in
+  let jstat = stat_of jd.jd_plan in
+  let root_stat = if own then stat_of jd.jd_root else None in
+  let emit : row -> row -> row list -> row =
+    match jd.jd_items with
+    | None -> fun l r _ -> Array.append l r
+    | Some items ->
+        let combined = Array.append pl bl and npl = Array.length pl in
+        let item (e, _) =
+          match match e with A.Col c -> Eval.find_col combined c | _ -> None with
+          | Some k -> if k < npl then J_left k else J_right (k - npl)
+          | None -> (
+              match Eval.simple_arg ~binds [||] e with
+              | Some f -> J_const (f [||])
+              | None ->
+                  J_fun (Eval.compile_expr ~meter ~binds (combined :: scopes) e))
+        in
+        let fitems = Array.of_list (List.map item items) in
+        let ni = Array.length fitems in
+        let whole =
+          Array.exists (function J_fun _ -> true | _ -> false) fitems
+        in
+        fun l r orows ->
+          let j = if whole then Array.append l r else [||] in
+          let o = Array.make ni Value.Null in
+          for k = 0 to ni - 1 do
+            Array.unsafe_set o k
+              (match Array.unsafe_get fitems k with
+              | J_left i -> Array.unsafe_get l i
+              | J_right i -> Array.unsafe_get r i
+              | J_const v -> v
+              | J_fun f -> f (j :: orows))
+          done;
+          o
+  in
+  let gids = Array.make seg 0 in
+  Meter.charge_vec_alloc seg;
+  let out = Vec.create ~cap:seg () in
+  (* per-execution state *)
+  let empty = gtbl_create KB_none 1 in
+  let gt = ref empty and pkeyer = ref KB_none in
+  let starts = ref [||] and cands = ref [||] in
+  let orows_r = ref [] in
+  let no_group () = -1 and no_fresh _ = -1 in
+  let build_table orows =
+    build.ch_open orows;
+    let ids = Array.make (max 1 (build.ch_span ())) 0 in
+    let nb = ref 0 in
+    let vb = build.ch_vb in
+    while build.ch_step () do
+      if vb.dense then
+        for s = 0 to vb.n - 1 do
+          Array.unsafe_set ids (!nb + s) (vb.lo + s)
+        done
+      else Array.blit vb.sel 0 ids !nb vb.n;
+      nb := !nb + vb.n
+    done;
+    build.ch_close ();
+    let nb = !nb in
+    meter.Meter.hash_build <- meter.Meter.hash_build + nb;
+    probe.ch_open orows;
+    let pim = !(probe.ch_img) and bim = !(build.ch_img) in
+    let pk, bk = key_pair pim bim orows pkey bkey in
+    pkeyer := pk;
+    let t = gtbl_create bk nb in
+    gt := t;
+    let bgids = Array.make (max 1 nb) 0 in
+    let ng = ref 0 in
+    assign t bk ~null:no_group
+      ~fresh:(fun _ ->
+        let g = !ng in
+        ng := g + 1;
+        g)
+      nb ids bgids;
+    (* CSR: count per group, running ends, then each row in build order
+       into the last free slot of its group *)
+    let ng = !ng in
+    let st = Array.make (ng + 1) 0 in
+    for b = 0 to nb - 1 do
+      let g = Array.unsafe_get bgids b in
+      if g >= 0 then Array.unsafe_set st g (Array.unsafe_get st g + 1)
+    done;
+    for g = 1 to ng - 1 do
+      Array.unsafe_set st g (Array.unsafe_get st g + Array.unsafe_get st (g - 1))
+    done;
+    if ng > 0 then st.(ng) <- st.(ng - 1);
+    let base = bim.base in
+    let cs = Array.make (max 1 st.(ng)) [||] in
+    for b = 0 to nb - 1 do
+      let g = Array.unsafe_get bgids b in
+      if g >= 0 then begin
+        let p = Array.unsafe_get st g - 1 in
+        Array.unsafe_set st g p;
+        Array.unsafe_set cs p (Array.unsafe_get base (Array.unsafe_get ids b))
+      end
+    done;
+    Meter.charge_vec_alloc (Array.length ids + (2 * nb) + ng + 1);
+    starts := st;
+    cands := cs
+  in
+  let c_open orows =
+    orows_r := orows;
+    match jstat with
+    | Some st when own ->
+        let m0 = Meter.copy meter in
+        st.ns_calls <- st.ns_calls + 1;
+        build_table orows;
+        Meter.add st.ns_meter (Meter.diff meter m0)
+    | _ -> build_table orows
+  in
+  let pvb = probe.ch_vb in
+  (* The join half of a step, which the join node's measure covers:
+     probe segments until one has candidates; their count, 0 at
+     exhaustion. The segment's group ids stay in [gids]. *)
+  let rec probe_segment () =
+    if not (probe.ch_step ()) then 0
+    else begin
+      let n = pvb.n in
+      meter.Meter.hash_probe <- meter.Meter.hash_probe + n;
+      (match jstat with
+      | Some st -> st.ns_sel_in <- st.ns_sel_in + n
+      | None -> ());
+      let sel = pvb.sel in
+      if pvb.dense then
+        for s = 0 to n - 1 do
+          Array.unsafe_set sel s (pvb.lo + s)
+        done;
+      assign !gt !pkeyer ~null:no_group ~fresh:no_fresh n sel gids;
+      let st = !starts in
+      let k = ref 0 in
+      for s = 0 to n - 1 do
+        let g = Array.unsafe_get gids s in
+        if g >= 0 then
+          k := !k + Array.unsafe_get st (g + 1) - Array.unsafe_get st g
+      done;
+      meter.Meter.rows_joined <- meter.Meter.rows_joined + !k;
+      if !k > 0 then !k else probe_segment ()
+    end
+  in
+  let join_step =
+    match jstat with
+    | Some st when own ->
+        fun () ->
+          let m0 = Meter.copy meter in
+          let k = probe_segment () in
+          meter.Meter.rows_out <- meter.Meter.rows_out + k;
+          st.ns_rows <- st.ns_rows + k;
+          Meter.add st.ns_meter (Meter.diff meter m0);
+          k
+    | _ when own ->
+        fun () ->
+          let k = probe_segment () in
+          meter.Meter.rows_out <- meter.Meter.rows_out + k;
+          k
+    | _ -> probe_segment
+  in
+  (* The emit half: per probe row in selection order, one output row
+     per candidate of its group's slice. *)
+  let c_next () =
+    let k = join_step () in
+    if k = 0 then None
+    else begin
+      Vec.clear out;
+      Vec.reserve out k;
+      let sel = pvb.sel and pbase = !(probe.ch_img).base in
+      let st = !starts and cs = !cands and orows = !orows_r in
+      for s = 0 to pvb.n - 1 do
+        let g = Array.unsafe_get gids s in
+        if g >= 0 then begin
+          let l = Array.unsafe_get pbase (Array.unsafe_get sel s) in
+          for c = Array.unsafe_get st g to Array.unsafe_get st (g + 1) - 1 do
+            Vec.push out (emit l (Array.unsafe_get cs c) orows)
+          done
+        end
+      done;
+      (match root_stat with
+      | Some st -> st.ns_sel_in <- st.ns_sel_in + k
+      | None -> ());
+      Some (Vec.to_batch out)
+    end
+  in
+  let c_close () =
+    probe.ch_close ();
+    gt := empty;
+    starts := [||];
+    cands := [||]
+  in
+  { c_open; c_next; c_close }
+
+(* ------------------------------------------------------------------ *)
 (* The hybrid choice                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1002,24 +1398,30 @@ let pipeline_card (ctx : ctx) (cd : chain_desc) : float =
   | None ->
       float_of_int (Relation.cardinality (Db.relation ctx.db cd.cd_table))
 
-(** Vectorize [p] if it is a vectorizable pipeline chain and the engine
-    mode (plus, under [Auto], the estimated pipeline cardinality
+(** Vectorize [p] if it is a vectorizable pipeline chain or hash join
+    and the engine mode (plus, under [Auto], the estimated cardinality
+    of the pipeline's — for a join, the probe chain's — source scan
     against {!Cursor.ctx.vector_threshold}) selects the columnar path.
-    Returns the {e unwrapped} root cursor — the executor's standard
-    prepare wrapper charges the root node, exactly as for a row
-    cursor. *)
+    Counts one vector dispatch per source chain. Returns the
+    {e unwrapped} root cursor — the executor's standard prepare wrapper
+    charges the root node, exactly as for a row cursor. *)
 let try_root (ctx : ctx) (scopes : layout list) (p : Plan.t) : cursor option =
-  match chain_of p with
-  | None -> None
-  | Some cd ->
-      let use =
-        match ctx.engine with
-        | Row -> false
-        | Vector -> true
-        | Auto -> pipeline_card ctx cd >= ctx.vector_threshold
-      in
-      if not use then None
-      else begin
-        ctx.estats.es_vector <- ctx.estats.es_vector + 1;
-        Some (build ctx scopes cd)
-      end
+  let use cd =
+    match ctx.engine with
+    | Row -> false
+    | Vector -> true
+    | Auto -> pipeline_card ctx cd >= ctx.vector_threshold
+  in
+  let dispatch n build =
+    ctx.estats.es_vector <- ctx.estats.es_vector + n;
+    Some (build ())
+  in
+  if ctx.engine = Row then None
+  else
+    match chain_of p with
+    | Some cd -> if use cd then dispatch 1 (fun () -> build ctx scopes cd) else None
+    | None -> (
+      match join_of ctx.db.Db.cat p with
+      | Some jd when use jd.jd_probe ->
+          dispatch 2 (fun () -> join_cursor ctx scopes jd)
+      | _ -> None)

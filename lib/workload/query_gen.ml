@@ -28,6 +28,10 @@ type qclass =
   | C_or  (** disjunctive predicates: OR expansion *)
   | C_setop  (** MINUS / INTERSECT *)
   | C_pullup  (** ROWNUM over a sorted view with an expensive predicate *)
+  | C_pred_move
+      (** constant filters on join columns and on a view output:
+          predicate move-around. In no mix of this repository's
+          workloads. *)
 
 let class_name = function
   | C_spj -> "spj"
@@ -43,6 +47,7 @@ let class_name = function
   | C_or -> "or"
   | C_setop -> "setop"
   | C_pullup -> "pullup"
+  | C_pred_move -> "pred-move"
 
 type gen = {
   g_rng : Rng.t;
@@ -294,6 +299,57 @@ let gen_gb_view g : A.query =
         [ A.Cmp (A.Eq, c da "id", c v "k"); filter g dim_ti da ];
     }
 
+(* Predicate move-around arena: an SPJ view over a fact, joined in the
+   parent to a table the fact references. A constant filter on the
+   parent's join column gives transitive generation a restriction to
+   carry across the join, and a parent filter on a view output gives
+   pushdown one to move into the view. *)
+let gen_pred_move g : A.query =
+  let f = family g in
+  let fact = fact_of g f in
+  let fk_col, ref_name, _ = Rng.pick g.g_rng fact.S.ti_fks in
+  let ref_ti =
+    List.find
+      (fun ti -> String.equal ti.S.ti_name ref_name)
+      (f.S.fam_dims @ [ f.S.fam_mid ] @ f.S.fam_facts)
+  in
+  let fa = fresh_alias g and ra = fresh_alias g and v = fresh_alias g in
+  let m = List.hd fact.S.ti_measures in
+  let view =
+    A.Block
+      {
+        (A.empty_block (fresh_qb g)) with
+        A.select =
+          [
+            { A.si_expr = c fa fk_col; si_name = "k" };
+            { A.si_expr = c fa m; si_name = "m" };
+          ];
+        from = [ tbl fact.S.ti_name fa ];
+        where = (if Rng.bool g.g_rng ~p:0.5 then [ filter g fact fa ] else []);
+      }
+  in
+  let op = Rng.pick g.g_rng [ A.Lt; A.Gt; A.Le; A.Eq ] in
+  A.Block
+    {
+      (A.empty_block (fresh_qb g)) with
+      A.select =
+        [
+          { A.si_expr = c ra "id"; si_name = "o0" };
+          { A.si_expr = c v "m"; si_name = "o1" };
+        ];
+      from =
+        [
+          tbl ref_ti.S.ti_name ra;
+          { A.fe_alias = v; fe_source = A.S_view view; fe_kind = A.J_inner; fe_cond = [] };
+        ];
+      where =
+        [
+          A.Cmp (A.Eq, c ra "id", c v "k");
+          A.Cmp (op, c ra "id", iconst (1 + Rng.int g.g_rng ref_ti.S.ti_rows));
+          A.Cmp (A.Gt, c v "m", iconst (Rng.range g.g_rng 1000 9000));
+        ];
+    }
+
 (* Q12-style distinct view *)
 let gen_distinct_view g : A.query =
   let f = family g in
@@ -478,6 +534,7 @@ let generate (g : gen) (cls : qclass) : A.query =
   | C_or -> gen_or g
   | C_setop -> gen_setop g
   | C_pullup -> gen_pullup g
+  | C_pred_move -> gen_pred_move g
 
 (** The paper's mix: ~92% plain SPJ, ~8% transformable constructs. *)
 let default_mix : (qclass * float) list =

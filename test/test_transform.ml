@@ -820,6 +820,33 @@ let test_predicate_move_fixpoint_reference () =
     all_classes;
   Alcotest.(check bool) "some queries had predicates moved" true (!moved > 0)
 
+(* The generator's [pred-move] class is the workload-side arena of
+   predicate move-around: most of its queries change under
+   [Predicate_move.apply], and Refeval returns the same rows before and
+   after. *)
+let test_pred_move_class () =
+  let module QG = Workload.Query_gen in
+  let db, schema =
+    Workload.Schema_gen.build ~families:2 ~row_scale:0.05 ~seed:2006 ()
+  in
+  let cat = db.Storage.Db.cat in
+  let n = 24 in
+  let moved = ref 0 and nonempty = ref 0 in
+  for seed = 1 to n do
+    let q = QG.generate (QG.create ~seed schema) QG.C_pred_move in
+    let q' = Transform.Predicate_move.apply cat q in
+    if q' != q then incr moved;
+    let r = Refeval.eval db q in
+    if r.Refeval.rows <> [] then incr nonempty;
+    Alcotest.(check bool) (Printf.sprintf "seed %d: same rows" seed) true
+      (Refeval.rows_equal r (Refeval.eval db q'))
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "most queries change (%d of %d)" !moved n)
+    true
+    (2 * !moved > n);
+  Alcotest.(check bool) "some query returns rows" true (!nonempty > 0)
+
 let () =
   Alcotest.run "transform"
     [
@@ -902,6 +929,8 @@ let () =
           Alcotest.test_case "group pruning" `Quick test_group_prune;
           Alcotest.test_case "fixpoint reference" `Quick
             test_predicate_move_fixpoint_reference;
+          Alcotest.test_case "generated move-around class" `Quick
+            test_pred_move_class;
         ] );
       ( "spj-view-merge",
         [
